@@ -267,8 +267,8 @@ class ChaosProxy:
 
     async def _forward_to_server(self, link: _Link, data: bytes) -> None:
         """Write bytes upstream under flow control."""
-        link.server_writer.write(data)
         self.bytes_to_server += len(data)
+        link.server_writer.write(data)
         await link.server_writer.drain()
 
     async def _pump_responses(self, link: _Link, rng) -> None:
@@ -278,16 +278,17 @@ class ChaosProxy:
             chunk = await link.server_reader.read(64 * 1024)
             if not chunk:
                 break
-            link.client_writer.write(chunk)
+            # Counted before forwarding, so the client's next snapshot() sees it.
+            stalls = [rule.delay_s for rule in stall_rules if rng.random() < rule.probability]
+            self.injected[ChaosKind.STALL_READ.value] += len(stalls)
             self.bytes_to_client += len(chunk)
+            link.client_writer.write(chunk)
             await link.client_writer.drain()
-            for rule in stall_rules:
-                if rng.random() < rule.probability:
-                    self.injected[rule.kind.value] += 1
-                    # Stop *reading* for a while: the gateway's responses
-                    # back up in its socket buffer and its per-connection
-                    # drain() throttles — the slow-loris pressure point.
-                    await asyncio.sleep(rule.delay_s)
+            if stalls:
+                # Stop *reading* for a while: the gateway's responses back
+                # up in its socket buffer and its per-connection drain()
+                # throttles — the slow-loris pressure point.
+                await asyncio.sleep(sum(stalls))
         self._half_close(link.client_writer)
 
     @staticmethod

@@ -61,8 +61,8 @@ import asyncio
 import socket
 import threading
 import time
-from collections.abc import MutableMapping
-from typing import Awaitable, Callable, Dict, Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,9 +105,9 @@ class _Connection:
         self.peer = f"{peer[0]}:{peer[1]}" if peer else "?"
 
 
-#: Wire stats keys → help text; each is backed by a registry counter
-#: named ``gateway_<key>_total``, the single source both ``snapshot()``
-#: and the METRICS scrape read (so the two can never drift).
+#: Wire stats keys → help text.  The gateway counts each in a plain int
+#: (``GatewayServer.stats``); a scrape-time collector publishes them as
+#: registry counters named ``gateway_<key>_total``.
 _STATS_KEYS = {
     "connections_opened": "Client connections accepted.",
     "connections_closed": "Client connections torn down.",
@@ -129,41 +129,10 @@ _STATS_KEYS = {
     "idle_timeouts": "Connections closed for exceeding the idle timeout.",
 }
 
-
-class _RegistryStats(MutableMapping):
-    """The gateway's stats dict, backed by registry counters.
-
-    Keeps every ``stats["key"] += 1`` call site (and the existing test
-    assertions on integer values) working while making the registry the
-    one source of truth: ``snapshot()``, the wire ``STATS`` reply and a
-    ``METRICS`` scrape all read the same counters.
-    """
-
-    __slots__ = ("_families",)
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._families = {
-            key: registry.counter(f"gateway_{key}_total", help_text)
-            for key, help_text in _STATS_KEYS.items()
-        }
-
-    def __getitem__(self, key: str) -> int:
-        return int(self._families[key].value)
-
-    def __setitem__(self, key: str, value: int) -> None:
-        family = self._families[key]
-        delta = float(value) - family.value
-        if delta:
-            family.inc(delta)
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError("gateway stats keys are fixed")
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._families)
-
-    def __len__(self) -> int:
-        return len(self._families)
+#: Byte budget of the ``images_ref`` cache, least recently used evicted
+#: first; a client referencing an evicted digest gets
+#: ``ERROR unknown_images_ref`` and re-uploads, as after a restart.
+IMAGES_REF_CACHE_BYTES = 64 * 1024 * 1024
 
 
 class _Pending:
@@ -251,10 +220,11 @@ class GatewayServer:
             self.journal = journal
         else:
             self.journal = AdmissionJournal(journal)
-        #: Decoded image tensors by content digest (the ``images_ref``
-        #: cache).  Bounded only by distinct payloads seen; an operator
-        #: restarts the gateway to flush it (documented in OPERATIONS.md).
-        self._images_by_ref: Dict[str, np.ndarray] = {}
+        #: The ``images_ref`` cache: decoded tensors by digest, least recently
+        #: used first.  Queued requests hold their own arrays, so eviction
+        #: never touches admitted work.
+        self._images_by_ref: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._images_bytes = 0
         self._admission: List[Tuple[_Connection, dict]] = []
         self._pending: List[_Pending] = []
         self._dispatch_wakeup: Optional[asyncio.Event] = None
@@ -275,7 +245,14 @@ class GatewayServer:
             attach_cluster_observability(router, self.metrics, tracer=self.tracer)
         if getattr(router, "tracer", None) is None:
             router.tracer = self.tracer
-        self.stats: MutableMapping = _RegistryStats(self.metrics)
+        #: The wire counters: plain ints, published at scrape time by _collect.
+        self.stats: Dict[str, int] = dict.fromkeys(_STATS_KEYS, 0)
+        self._stat_counters = {
+            key: self.metrics.counter(f"gateway_{key}_total", help_text).labels()
+            for key, help_text in _STATS_KEYS.items()
+        }
+        #: Scrapes may run on any thread; each moves counters by a delta.
+        self._collect_lock = threading.Lock()
         self._ema_gauge = self.metrics.gauge(
             "gateway_service_time_ema_seconds",
             "EMA of per-request wall service time (retry_after basis).",
@@ -291,11 +268,19 @@ class GatewayServer:
         self._queue_limit_gauge = self.metrics.gauge(
             "gateway_queue_limit", "Bound of the admission queue."
         )
-        self._queue_limit_gauge.set(float(max_queue))
-        self.metrics.register_collector(self._collect_gauges)
+        self.metrics.register_collector(self._collect)
 
-    def _collect_gauges(self, _registry: MetricsRegistry) -> None:
-        """Scrape-time collector: live queue/backpressure state."""
+    def _collect(self, _registry: MetricsRegistry) -> None:
+        """Scrape-time collector: the wire counters and live queue state.
+
+        Moves each ``gateway_<key>_total`` counter to its int, down too (a
+        response taken back for a vanished peer).
+        """
+        with self._collect_lock:
+            for key, counter in self._stat_counters.items():
+                delta = self.stats[key] - counter.value
+                if delta:
+                    counter.inc(delta)
         self._ema_gauge.set(self._service_time_ema_s)
         self._retry_gauge.set(self._retry_after_s())
         self._queue_gauge.set(float(len(self._admission) + len(self._pending)))
@@ -704,12 +689,13 @@ class GatewayServer:
         if has_images:
             images = decode_images(payload["images"])
             ref = images_digest(images)
-            self._images_by_ref.setdefault(ref, images)
+            self._remember_images(ref, images)
         else:
             ref = payload["images_ref"]
             if not isinstance(ref, str):
                 raise ProtocolError("images_ref must be a string digest")
             images = self._images_by_ref[ref]  # KeyError -> unknown_images_ref
+            self._images_by_ref.move_to_end(ref)
         return {
             "id": payload.get("id"),
             "model_id": payload["model_id"],
@@ -720,6 +706,15 @@ class GatewayServer:
             "images_ref": ref,
             "echo_ref": has_images,
         }
+
+    def _remember_images(self, ref: str, images: np.ndarray) -> None:
+        """Cache one uploaded tensor, evicting the LRU ones past the budget."""
+        cache = self._images_by_ref
+        if cache.pop(ref, None) is None:
+            self._images_bytes += images.nbytes
+        cache[ref] = images
+        while self._images_bytes > IMAGES_REF_CACHE_BYTES:
+            self._images_bytes -= cache.popitem(last=False)[1].nbytes
 
     def _retry_after_s(self) -> float:
         """Backpressure hint: modeled time to clear half the queue."""
@@ -920,9 +915,9 @@ class GatewayServer:
         """Counters answering the wire ``STATS`` query.
 
         Returns:
-            Gateway counters (read from the metrics registry — the same
-            source a ``METRICS`` scrape renders, so the two cannot
-            drift) plus the router's conservation numerators
+            Gateway counters (the same ints a ``METRICS`` scrape
+            publishes, so the two cannot drift) plus the router's
+            conservation numerators
             (``router_completed``, ``router_failed``), the live
             ``queue_depth`` / ``queue_limit`` / ``draining`` state, and
             the backpressure signals ``service_time_ema_s`` /

@@ -21,6 +21,7 @@ import json
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -44,7 +45,10 @@ from repro.gateway import (
     encode_images,
     images_digest,
 )
+from repro.gateway import server as gateway_server
 from repro.gateway.client import _backoff_delay_s
+from repro.gateway.server import _STATS_KEYS, GatewayServer
+from repro.obs.registry import Counter, Gauge, MetricFamily
 
 
 # --------------------------------------------------------------------- #
@@ -814,3 +818,271 @@ class TestAsyncClient:
         finally:
             gw.stop()
             router.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# Wire counters: plain ints, published at scrape time
+# --------------------------------------------------------------------- #
+def ref_request(wire_id, images_ref, **fields):
+    """One REQUEST frame re-referencing an uploaded tensor."""
+    return encode_frame(
+        FrameType.REQUEST,
+        {
+            "id": wire_id,
+            "model_id": "cnn",
+            "sla": "throughput",
+            "images_ref": images_ref,
+            **fields,
+        },
+    )
+
+
+def recv_one_counted(sock):
+    """Read exactly one frame: (frame type, payload, bytes on the wire)."""
+    decoder = FrameDecoder()
+    size = 0
+    while True:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection early"
+        size += len(chunk)
+        frames = list(decoder.feed(chunk))
+        if frames:
+            ((frame_type, payload),) = frames
+            assert decoder.pending_bytes == 0
+            return frame_type, payload, size
+
+
+class TestScrapeTimeCounters:
+    def test_stats_and_scrape_agree_on_every_counter_after_a_drill(self, trained):
+        dataset, cnn = trained
+        router = make_router(cnn)
+        gw = ThreadedGateway(router, max_queue=4, min_retry_after_s=1e-6)
+        host, port = gw.start()
+        server = gw.server
+        try:
+            with GatewayClient(host, port) as client:
+                ref = client.predict("cnn", dataset.test_images[:2]).images_ref
+                client.predict("cnn", dataset.test_images[:2])  # by images_ref
+                client.ping()
+                client.health()
+                with pytest.raises(GatewayRequestError, match="bad_request"):
+                    client.predict("nope", dataset.test_images[:1])
+            with socket.create_connection((host, port)) as sock:
+                sock.sendall(ref_request(1, ref, budget_s=0.0))
+                ((_, shed),) = recv_frames(sock, 1)
+                assert shed["code"] == "shed"
+                server.pause_dispatch()
+                sock.sendall(b"".join(ref_request(i, ref) for i in range(2, 6)))
+                wait_until(lambda: server.snapshot()["queue_depth"] == 4)
+                sock.sendall(ref_request(6, ref))  # the queue is full: BUSY
+                sock.sendall(encode_frame(FrameType.CANCEL, {"id": 7, "target_id": 2}))
+                replies = [frame_type for frame_type, _ in recv_frames(sock, 3)]
+                assert replies == [FrameType.BUSY, FrameType.ERROR, FrameType.CANCEL]
+            # The three still-queued requests now belong to a closed peer.
+            wait_until(
+                lambda: server.snapshot()["connections_closed"]
+                == server.snapshot()["connections_opened"]
+            )
+            server.resume_dispatch()
+            with socket.create_connection((host, port)) as sock:
+                sock.sendall(b"XXXXXXXXXXXXXXXX")
+                ((_, malformed),) = recv_frames(sock, 1)
+                assert malformed["code"] == "malformed_frame"
+            wait_until(
+                lambda: server.snapshot()["queue_depth"] == 0
+                and server.snapshot()["connections_closed"]
+                == server.snapshot()["connections_opened"]
+            )
+
+            with socket.create_connection((host, port)) as probe:
+                probe.sendall(encode_frame(FrameType.STATS, {"id": 1}))
+                _, reply, stats_reply_bytes = recv_one_counted(probe)
+                stats = reply["stats"]
+                scrape = encode_frame(FrameType.METRICS, {"id": 2})
+                probe.sendall(scrape)
+                _, reply, scrape_reply_bytes = recv_one_counted(probe)
+                families = reply["snapshot"]["metrics"]
+
+                async def read_on_loop():
+                    return server.snapshot()
+
+                final = gw.call(read_on_loop)
+        finally:
+            gw.stop()
+            router.shutdown()
+
+        for key in (
+            "requests_admitted",
+            "responses_sent",
+            "responses_dropped",
+            "busy_sent",
+            "errors_sent",
+            "shed_sent",
+            "cancels_received",
+            "requests_cancelled",
+            "health_checks",
+            "pings",
+            "malformed_frames",
+        ):
+            assert final[key] >= 1, key
+        # The probe's own frames are the only traffic between the reads.
+        scrape_moves = {
+            "frames_received": 1,
+            "bytes_received": len(scrape),
+            "bytes_sent": stats_reply_bytes,
+        }
+        for key in _STATS_KEYS:
+            (sample,) = families[f"gateway_{key}_total"]["samples"]
+            assert sample["value"] == stats[key] + scrape_moves.get(key, 0), key
+            after_scrape = scrape_reply_bytes if key == "bytes_sent" else 0
+            assert final[key] == sample["value"] + after_scrape, key
+
+    def test_a_scrape_moves_each_counter_to_its_int_down_as_well_as_up(self, trained):
+        _, cnn = trained
+        router = make_router(cnn)
+        server = GatewayServer(router)
+        family = server.metrics.get("gateway_responses_sent_total")
+        (sample,) = family.samples()
+        try:
+            assert sample.value == 0 and sample.wall_s is None
+            server.stats["responses_sent"] = 3
+            assert sample.value == 0  # nothing is published between scrapes
+            before = time.time()
+            server.metrics.snapshot()
+            assert sample.value == 3
+            stamped = sample.wall_s
+            assert stamped >= before
+            server.metrics.snapshot()
+            assert sample.wall_s == stamped  # unchanged, so not re-stamped
+            server.stats["responses_sent"] = 2  # a take-back for a vanished peer
+            server.metrics.snapshot()
+            assert sample.value == 2
+        finally:
+            router.shutdown()
+
+    def test_concurrent_scrapes_never_publish_past_the_int(self, trained):
+        # Scrapes may come from several threads while the loop counts;
+        # each moves counters by a delta, so unserialised scrapes could
+        # apply one delta twice and publish more than was ever counted.
+        _, cnn = trained
+        router = make_router(cnn)
+        server = GatewayServer(router)
+        overshoots, stop = [], threading.Event()
+
+        def scrape():
+            while not stop.is_set():
+                family = server.metrics.snapshot()["metrics"]["gateway_pings_total"]
+                if family["samples"][0]["value"] > server.stats["pings"]:
+                    overshoots.append(family["samples"][0]["value"])
+
+        scrapers = [threading.Thread(target=scrape) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in scrapers:
+                thread.start()
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                server.stats["pings"] += 1000
+                time.sleep(0.001)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for thread in scrapers:
+                thread.join(timeout=10)
+            router.shutdown()
+        assert not any(thread.is_alive() for thread in scrapers)
+        assert overshoots == []
+        pings = server.metrics.snapshot()["metrics"]["gateway_pings_total"]
+        assert pings["samples"][0]["value"] == server.stats["pings"]
+
+
+#: Registry calls one router drain may make on the gateway's thread (the
+#: object router counts the drain itself: one ``labels`` + one ``inc``).
+REGISTRY_CALLS_PER_DRAIN = 4
+
+
+class TestObsTierRule:
+    def test_registry_calls_grow_with_drains_not_requests(self, trained, monkeypatch):
+        dataset, cnn = trained
+        router = make_router(cnn)
+        gw = ThreadedGateway(router, max_queue=1024)
+        host, port = gw.start()
+        calls, drains = [], []
+        try:
+            with GatewayClient(host, port) as client:
+                ref = client.predict("cnn", dataset.test_images[:1]).images_ref
+            gateway_thread = gw._thread.ident
+            for owner, name in ((MetricFamily, "labels"), (Counter, "inc"), (Gauge, "set")):
+
+                def counting(*args, _original=getattr(owner, name), **kwargs):
+                    if threading.get_ident() == gateway_thread:
+                        calls.append(name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(owner, name, counting)
+            drain = router.drain
+
+            def counting_drain():
+                drains.append(1)
+                return drain()
+
+            monkeypatch.setattr(router, "drain", counting_drain)
+
+            def serve(count):
+                del calls[:], drains[:]
+                gw.server.pause_dispatch()
+                with socket.create_connection((host, port)) as sock:
+                    sock.sendall(b"".join(ref_request(i, ref) for i in range(count)))
+                    wait_until(lambda: gw.server.snapshot()["queue_depth"] == count)
+                    gw.server.resume_dispatch()
+                    frames = recv_frames(sock, count)
+                assert all(frame_type is FrameType.RESPONSE for frame_type, _ in frames)
+                return len(calls), len(drains)
+
+            served = {count: serve(count) for count in (64, 256)}
+        finally:
+            gw.stop()
+            router.shutdown()
+        for count, (made, drained) in served.items():
+            # Dispatch batches admission_batch (128) requests per drain.
+            assert drained == -(-count // 128)
+            assert made <= REGISTRY_CALLS_PER_DRAIN * drained, (count, made)
+
+
+class TestImagesRefCache:
+    @staticmethod
+    def tensors(count):
+        rng = np.random.default_rng(5)
+        return [rng.random((2, 1, 8, 8)) for _ in range(count)]
+
+    def test_uploads_past_the_budget_evict_least_recently_used(self, gateway, monkeypatch):
+        tensors = self.tensors(5)
+        budget = 3 * tensors[0].nbytes
+        monkeypatch.setattr(gateway_server, "IMAGES_REF_CACHE_BYTES", budget)
+        server = gateway.server
+        with GatewayClient(server.host, server.port) as client:
+            refs = [client.predict("cnn", images).images_ref for images in tensors[:3]]
+            client.predict("cnn", tensors[0])  # a hit moves refs[0] to the back
+            for images in tensors[3:]:
+                refs.append(client.predict("cnn", images).images_ref)
+                assert server._images_bytes <= budget
+        cache = server._images_by_ref
+        assert list(cache) == [refs[0], refs[3], refs[4]]
+        assert server._images_bytes == sum(array.nbytes for array in cache.values())
+
+    def test_evicted_ref_is_reuploaded_and_served_correctly(
+        self, trained, gateway, monkeypatch
+    ):
+        _, cnn = trained
+        first, second = self.tensors(2)
+        monkeypatch.setattr(gateway_server, "IMAGES_REF_CACHE_BYTES", first.nbytes)
+        with GatewayClient(gateway.server.host, gateway.server.port) as client:
+            client.predict("cnn", first)
+            client.predict("cnn", second)  # evicts first
+            result = client.predict("cnn", first)  # its ref is unknown now
+        assert result.attempts == 2
+        assert np.array_equal(result.predictions, cnn.predict(first))
+        stats = gateway.server.snapshot()
+        assert stats["errors_sent"] == 1
+        assert stats["responses_sent"] == 3

@@ -4,7 +4,10 @@ Boots the demo gateway twice as real subprocesses — once single-process,
 once with ``--workers N`` fleet sharding — drives both through the same
 short mixed-SLA trace with the synchronous client SDK, scrapes each
 gateway's metrics, and asserts ledger-sum parity: request and image
-counters must match exactly, the energy ledger to float tolerance.
+counters must match exactly, the energy ledger to float tolerance.  Each
+scrape must also count every driven request as admitted and answered,
+which checks the gateway's scrape-time counter publication across real
+subprocess gateways.
 
 A synchronous single-connection client serializes admission, so both runs
 see the identical virtual-time history; the trace runs ``--no-coalesce``
@@ -44,6 +47,8 @@ from repro.gateway import GatewayClient  # noqa: E402
 EXACT_FAMILIES = ("cluster_requests_total", "cluster_images_total")
 ENERGY_FAMILY = "cluster_energy_joules_total"
 ENERGY_REL_TOL = 1e-9
+#: Gateway counters that must equal the number of requests driven.
+DRIVEN_FAMILIES = ("gateway_requests_admitted_total", "gateway_responses_sent_total")
 
 
 def free_port() -> int:
@@ -164,6 +169,13 @@ def main(argv=None) -> int:
     sharded = run_one(args, workers=args.workers, artifact_dir=args.artifact_dir)
 
     failures = []
+    for tag, snapshot in (("single", single), ("sharded", sharded)):
+        for name in DRIVEN_FAMILIES:
+            total = family_total(snapshot, name)
+            status = "ok" if total == args.requests else "MISMATCH"
+            print(f"[scale-smoke] {tag} {name}: {total} of {args.requests} {status}")
+            if total != args.requests:
+                failures.append(f"{tag}:{name}")
     for name in EXACT_FAMILIES:
         lone, fleet = family_total(single, name), family_total(sharded, name)
         status = "ok" if lone == fleet else "MISMATCH"
@@ -186,7 +198,7 @@ def main(argv=None) -> int:
 
     if failures:
         print(
-            f"[scale-smoke] FAILED: ledger parity broken for {failures} "
+            f"[scale-smoke] FAILED: counters broken for {failures} "
             f"(artifacts in {args.artifact_dir}/)"
         )
         return 1
