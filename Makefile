@@ -16,6 +16,8 @@
 #                     bench smoke -> regression -> scale smoke
 #   make docs-check   documentation-consistency tests only
 #   make docs-links   internal markdown link/anchor checker
+#   make loc          Python line counts of src/ and tests/oracle/ (the
+#                     ROADMAP's "src/ line count" figure, also in CI)
 #   make chip-bench   just the sharded multi-macro scaling benchmark
 #   make examples     run every example script end-to-end
 
@@ -39,7 +41,7 @@ TRACKED_BENCHES := benchmarks/bench_chip_scaling.py \
 #: Coverage floor the CI coverage job enforces (keep in sync with ci.yml).
 COV_FAIL_UNDER := 83
 
-.PHONY: test lint coverage bench bench-smoke bench-full bench-check scale-smoke ci docs-check docs-links chip-bench examples clean
+.PHONY: test lint coverage bench bench-smoke bench-full bench-check scale-smoke ci docs-check docs-links loc chip-bench examples clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -92,6 +94,11 @@ docs-check:
 
 docs-links:
 	$(PYTHON) tools/check_docs_links.py
+
+loc:
+	@for tree in src tests/oracle; do \
+		printf '%s %s\n' "$$tree" "$$(find $$tree -name '*.py' -exec cat {} + | wc -l)"; \
+	done
 
 chip-bench:
 	$(PYTHON) -m pytest benchmarks/bench_chip_scaling.py -q

@@ -1,20 +1,21 @@
-"""Columnar event kernel vs object router: the 20x replay gate.
+"""Router core vs the frozen object router: the 20x replay gate.
 
-The columnar :class:`repro.cluster.EventKernel` replays the same virtual-
-time simulation the object router runs — identical placements, ledgers,
-telemetry and fault handling (the differential suite pins bit-exactness) —
-but keeps its per-request state in columnar ledgers and replays engine
-charges in vectorized folds at flush time.  This benchmark measures what
-that buys on an identical trace-replay loop and exercises the kernel's
-aggregate-only deployment shape:
+:class:`repro.cluster.ClusterRouter` replays the same virtual-time
+simulation as the per-request object router frozen in ``tests/oracle/`` —
+identical placements, ledgers, telemetry and fault handling (the
+differential suite pins bit-exactness) — but keeps its per-request state
+in columnar ledgers and replays engine charges in vectorized folds at
+flush time.  This benchmark measures what that buys on an identical
+trace-replay loop and exercises the core's aggregate-only deployment
+shape:
 
-* **object** — the per-request object router on a prefix of the trace
-  (both kernels on the analytic execution path; the object router costs
-  hundreds of microseconds of Python bookkeeping per request);
-* **columnar** — the full diurnal trace through the event kernel with
+* **object** — the oracle on a prefix of the trace (both routers on the
+  analytic execution path; the oracle costs hundreds of microseconds of
+  Python bookkeeping per request);
+* **columnar** — the full diurnal trace through the core with
   ``ColumnarTelemetry(retain_traces=False)`` and ``retain_results=False``:
   aggregates only, O(1) memory in the request count;
-* **fidelity** — both kernels on the same prefix, summaries and cluster
+* **fidelity** — both routers on the same prefix, summaries and cluster
   ledgers compared field by field (must match exactly);
 * **flat memory** — the columnar trace is replayed in bounded chunks with
   fresh arrival offsets, and the peak-RSS growth after the first chunk
@@ -25,10 +26,10 @@ hundred chunked diurnal periods — minutes of wall clock, still flat
 memory); the default full run uses 10^6 requests and smoke mode a small
 fraction of that.
 
-The acceptance gates of the columnar-kernel PR:
+The acceptance gates:
 
-* columnar requests/sec >= ``SPEEDUP_GATE`` (20x) over the object router
-  on the same workload,
+* core requests/sec >= ``SPEEDUP_GATE`` (20x) over the oracle on the same
+  workload,
 * the fidelity comparison finds zero mismatches,
 * no requests are lost (completed == admitted on every run),
 * peak-RSS growth across chunks stays under ``RSS_GROWTH_LIMIT_MB``.
@@ -39,6 +40,8 @@ bench-regression CI gate.
 
 import os
 import resource
+
+from oracle import ObjectRouter
 
 from repro.cluster import (
     ClusterNode,
@@ -68,12 +71,12 @@ EPOCHS = 6
 #: Columnar replay size: the ISSUE's 10^6-request gate workload by
 #: default, 10^8 under ``REPRO_BENCH_XL=1``.
 COLUMNAR_REQUESTS = 100_000_000 if XL else (10_000 if SMOKE else 1_000_000)
-#: The object router is measured on a prefix (it costs ~0.25 ms/request).
+#: The oracle is measured on a prefix (it costs ~0.25 ms/request).
 OBJECT_REQUESTS = 1_000 if SMOKE else 20_000
 #: Differential prefix for the in-bench fidelity comparison.
 FIDELITY_REQUESTS = 1_000 if SMOKE else 5_000
 #: Sampled fidelity audit: one real forward per this many memo hits.
-#: The timed runs disable it (0) on *both* kernels — it costs real
+#: The timed runs disable it (0) on *both* routers — it costs real
 #: forwards, identically, on either side — while the fidelity prefix
 #: keeps it so the comparison also pins the spot-check counters.
 SPOT_CHECK_EVERY = 2_000
@@ -127,13 +130,12 @@ def _chunk_trace(requests: int, offset_s: float, seed: int) -> WorkloadTrace:
     return chunk
 
 
-def _make_router(
-    cnn, kernel: str, aggregates_only: bool = False, spot_check_every: int = 0
-) -> ClusterRouter:
+def _make_router(cnn, side: str, aggregates_only: bool = False, spot_check_every: int = 0):
+    """A warmable 2-node fleet on ``side``: "object" (the oracle) or "columnar"."""
     memo = ForwardMemo()
     nodes = [
         ClusterNode(
-            f"{kernel}-{index}",
+            f"{side}-{index}",
             vdd=vdd,
             num_macros=NUM_MACROS,
             max_batch_size=max(IMAGE_COUNTS),
@@ -143,15 +145,15 @@ def _make_router(
         )
         for index, vdd in enumerate((1.0, 0.6))
     ]
-    router = ClusterRouter(
-        nodes,
-        scheduler=SLAScheduler(),
-        kernel=kernel,
-        telemetry=(
-            ColumnarTelemetry(retain_traces=False) if aggregates_only else None
-        ),
-        retain_results=not aggregates_only,
-    )
+    if side == "object":
+        router = ObjectRouter(nodes, scheduler=SLAScheduler())
+    else:
+        router = ClusterRouter(
+            nodes,
+            scheduler=SLAScheduler(),
+            telemetry=ColumnarTelemetry(retain_traces=not aggregates_only),
+            retain_results=not aggregates_only,
+        )
     router.register_model("cnn", cnn)
     return router
 
@@ -169,14 +171,14 @@ def _run_prefix(
     cnn,
     pool,
     requests: int,
-    kernel: str,
+    side: str,
     aggregates_only: bool = False,
     spot_check_every: int = 0,
 ) -> dict:
     """One measured replay of a trace prefix, returning comparable stats."""
     trace = _chunk_trace(requests, 0.0, seed=13)
     router = _make_router(
-        cnn, kernel, aggregates_only=aggregates_only,
+        cnn, side, aggregates_only=aggregates_only,
         spot_check_every=spot_check_every,
     )
     try:
@@ -241,13 +243,13 @@ _WALL_FIELDS = ("wall_s", "requests_per_s", "images_per_s")
 
 
 def _fidelity_check(cnn, pool) -> list:
-    """Object vs columnar-turbo on one prefix, compared field by field."""
+    """Oracle vs core-turbo on one prefix, compared field by field."""
     reference = _run_prefix(
         cnn, pool, FIDELITY_REQUESTS, "object",
         spot_check_every=SPOT_CHECK_EVERY,
     )
-    # aggregates_only puts the columnar side on the turbo batch path —
-    # the same configuration the timed run measures.
+    # aggregates_only puts the core on the turbo batch path — the same
+    # configuration the timed run measures.
     columnar = _run_prefix(
         cnn, pool, FIDELITY_REQUESTS, "columnar", aggregates_only=True,
         spot_check_every=SPOT_CHECK_EVERY,
@@ -276,21 +278,21 @@ def test_event_kernel_throughput(benchmark, reporter, write_results_json):
 
     rows = [
         [
-            "object router",
+            "object router (oracle)",
             int(object_stats["requests"]),
             f"{object_stats['requests_per_s']:.0f}",
             "1.0x",
         ],
         [
-            "columnar kernel",
+            "router core",
             int(columnar_stats["requests"]),
             f"{columnar_stats['requests_per_s']:.0f}",
             f"{speedup:.1f}x",
         ],
     ]
     reporter(
-        "Event kernel: trace replay, identical workload (requests/sec)",
-        format_table(["kernel", "requests", "req/s", "speedup"], rows)
+        "Router core vs oracle: trace replay, identical workload (requests/sec)",
+        format_table(["router", "requests", "req/s", "speedup"], rows)
         + f"\ncolumnar chunks: {int(columnar_stats['chunks'])}, "
         f"peak-RSS growth after first chunk: "
         f"{columnar_stats['rss_growth_mb']:.1f} MB"
@@ -322,8 +324,8 @@ def test_event_kernel_throughput(benchmark, reporter, write_results_json):
         },
     )
 
-    # Acceptance gates of the columnar-kernel PR.
-    assert not mismatches, f"columnar kernel diverged from object: {mismatches}"
+    # Acceptance gates.
+    assert not mismatches, f"router core diverged from the oracle: {mismatches}"
     assert speedup >= SPEEDUP_GATE
     assert columnar_stats["completed"] == columnar_stats["requests"]
     assert object_stats["completed"] == object_stats["requests"]

@@ -1,8 +1,9 @@
 """Observability overhead: instrumented vs bare router replay, the 5% gate.
 
-The ``repro.obs`` layer instruments the cluster through vectorized folds at
-telemetry flush boundaries plus scrape-time collectors, with request spans
-sampled deterministically (``request_id % sample_every == 0``).  The claim
+The ``repro.obs`` layer instruments the cluster through vectorized folds
+(at the telemetry's flush boundary in aggregate-only mode, at scrape time
+otherwise) plus scrape-time collectors, with request spans sampled
+deterministically (``request_id % sample_every == 0``).  The claim
 that buys is "observability is cheap": a fully instrumented router —
 metrics registry attached, tracer sampling at the default 1/1024 — must
 replay the same trace at no more than ``OVERHEAD_GATE`` (5%) fewer
@@ -10,7 +11,7 @@ requests/sec than a bare router, while producing **bit-identical** cluster
 ledgers and telemetry summaries (instrumentation must never perturb the
 virtual-time simulation, only observe it).
 
-Both sides run the columnar kernel in its aggregates-only deployment shape
+Both sides run the router core in its aggregates-only deployment shape
 on the same diurnal trace (10^5 requests by default, 10^4 in smoke mode).
 Each side is replayed ``ROUNDS`` times and the best requests/sec is kept,
 so a single scheduler hiccup cannot fail the gate; fidelity is compared on
@@ -103,7 +104,7 @@ def _make_trace(requests: int):
 
 
 def _make_router(cnn, instrumented: bool):
-    """A 2-node columnar router; node ids match on both sides so the
+    """A 2-node aggregate-only router; node ids match on both sides so the
     ledger comparison is label-for-label identical."""
     memo = ForwardMemo()
     nodes = [
@@ -122,7 +123,6 @@ def _make_router(cnn, instrumented: bool):
     router = ClusterRouter(
         nodes,
         scheduler=SLAScheduler(),
-        kernel="columnar",
         telemetry=ColumnarTelemetry(retain_traces=False),
         retain_results=False,
         metrics=metrics,

@@ -13,9 +13,13 @@ import json
 import os
 import platform
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+#: The frozen differential oracle in ``tests/oracle`` imports as ``oracle``.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Where benchmarks drop machine-readable outputs (JSON), so successive PRs
 #: accumulate a perf trajectory that scripts can diff.

@@ -929,7 +929,8 @@ def cluster_scheduling_study(
                 router.drain()
 
             telemetry = router.telemetry
-            latency_traces = telemetry.traces_for(sla=SLAClass.LATENCY.value)
+            traces = telemetry.traces
+            latency_traces = [t for t in traces if t.sla == SLAClass.LATENCY.value]
             bit_exact = True
             correct = 0
             total = 0
@@ -949,8 +950,8 @@ def cluster_scheduling_study(
             results[fleet_name] = ClusterSchedulingPoint(
                 fleet=fleet_name,
                 vdds=tuple(vdds),
-                requests=len(telemetry.traces),
-                images=sum(trace.images for trace in telemetry.traces),
+                requests=len(traces),
+                images=sum(trace.images for trace in traces),
                 latency_requests=len(latency_traces),
                 latency_miss_rate=telemetry.deadline_miss_rate(
                     sla=SLAClass.LATENCY.value
@@ -965,15 +966,15 @@ def cluster_scheduling_study(
                 throughput_energy_per_image_j=telemetry.energy_per_image_j(
                     sla=SLAClass.THROUGHPUT.value
                 ),
-                total_energy_j=sum(trace.energy_j for trace in telemetry.traces),
+                total_energy_j=sum(trace.energy_j for trace in traces),
                 affinity_hit_rate=(
-                    sum(trace.affinity_hit for trace in telemetry.traces)
-                    / len(telemetry.traces)
-                    if telemetry.traces
+                    sum(trace.affinity_hit for trace in traces)
+                    / len(traces)
+                    if traces
                     else 0.0
                 ),
                 programmed_dispatches=sum(
-                    trace.programmed for trace in telemetry.traces
+                    trace.programmed for trace in traces
                 ),
                 ledger_cycles=cluster_ledger.total_cycles,
                 ledger_energy_j=cluster_ledger.total_energy_j,
@@ -1031,7 +1032,6 @@ def million_request_trace_study(
     drain_every: int = 64,
     seed: int = 13,
     execution_mode: str = "analytic",
-    kernel: str = "object",
 ) -> Dict[str, MillionRequestTracePoint]:
     """Compare fleets over a synthesised trace of up to 10^6 modeled requests.
 
@@ -1050,12 +1050,6 @@ def million_request_trace_study(
     latency: ``load`` times the modeled capacity of a fleet of that many
     fast nodes, so the same trace pressures every fleet identically while
     staying inside the modeled service capacity of the fast configuration.
-
-    ``kernel`` selects the router implementation: ``"object"`` replays the
-    trace through the per-request object router, ``"columnar"`` through the
-    vectorized :class:`repro.cluster.EventKernel` — the study's numbers are
-    bit-identical either way (the fidelity contract the differential tests
-    pin); the columnar kernel just gets there much faster.
 
     Returns ``{fleet_name: MillionRequestTracePoint}``.
     """
@@ -1181,7 +1175,7 @@ def million_request_trace_study(
             )
             for index, vdd in enumerate(vdds)
         ]
-        with ClusterRouter(nodes, kernel=kernel) as router:
+        with ClusterRouter(nodes) as router:
             for model_id, model in models.items():
                 router.register_model(model_id, model)
             stats = replay(router, trace, pool, drain_every=drain_every)
@@ -1336,7 +1330,6 @@ def fleet_reliability_study(
     drain_every: int = 64,
     seed: int = 13,
     execution_mode: str = "analytic",
-    kernel: str = "object",
 ) -> Dict[str, FleetReliabilityPoint]:
     """Serve one trace through crash/degrade scenarios on a binned fleet.
 
@@ -1360,10 +1353,6 @@ def fleet_reliability_study(
     * **deadline-miss CDF** — how far the latency class degrades while
       capacity is out,
     * **replay overhead** — how many requests needed re-placement.
-
-    ``kernel`` selects the router implementation (``"object"`` or
-    ``"columnar"``); fault application, replays, autoscaler actions and
-    every reported number are bit-identical across the two.
 
     Returns ``{scenario: FleetReliabilityPoint}``.
     """
@@ -1460,9 +1449,7 @@ def fleet_reliability_study(
         for node in nodes[fleet_size:]:
             node.park()  # spares wait for failure/backlog pressure
         plan = _reliability_fault_plan(scenario, serving_ids, span_s)
-        with ClusterRouter(
-            nodes, scheduler=SLAScheduler(), fault_plan=plan, kernel=kernel
-        ) as router:
+        with ClusterRouter(nodes, scheduler=SLAScheduler(), fault_plan=plan) as router:
             autoscaler = ReactiveAutoscaler(
                 router,
                 min_active=1,

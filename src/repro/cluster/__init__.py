@@ -11,7 +11,8 @@ deadline-miss telemetry.
 Trace studies scale to millions of requests through the analytic execution
 mode (:class:`ExecutionMode` — exact-charge dispatches via the engine's
 ``charge_dispatch`` API plus memoised forwards, bit-identical ledgers and
-telemetry) and the vectorized workload generators of
+telemetry), the router's columnar discrete-event core (deferred charges,
+batch replay chunks) and the vectorized workload generators of
 :mod:`repro.cluster.workload` (Poisson / diurnal / burst traces, replayed
 in arrival order).
 
@@ -31,7 +32,6 @@ Typical wiring::
 """
 
 from repro.cluster.autoscale import ReactiveAutoscaler, ScalingAction
-from repro.cluster.kernel import ColumnarTelemetry, EventKernel
 from repro.cluster.node import (
     ClusterNode,
     ExecutionMode,
@@ -50,7 +50,7 @@ from repro.cluster.scheduler import (
     SLAClass,
     SLAScheduler,
 )
-from repro.cluster.telemetry import ClusterTelemetry, NodeTelemetry, RequestTrace
+from repro.cluster.telemetry import ColumnarTelemetry, NodeTelemetry, RequestTrace
 from repro.cluster.workload import (
     WorkloadTrace,
     build_image_pool,
@@ -65,9 +65,7 @@ __all__ = [
     "ClusterRequest",
     "ClusterResult",
     "ClusterRouter",
-    "ClusterTelemetry",
     "ColumnarTelemetry",
-    "EventKernel",
     "ExecutionMode",
     "ForwardMemo",
     "NoActiveNodesError",

@@ -101,8 +101,8 @@ class ReactiveAutoscaler:
         }
         #: Traces seen as of the previous observation; starts at zero so the
         #: first observe() treats pre-attachment history as fresh traffic.
-        #: Counter-based (not a trace-list slice) so the probe works over
-        #: the columnar telemetry too, which may not retain trace rows.
+        #: Counter-based (not a trace-list slice) so the probe works when
+        #: the telemetry keeps aggregates only and retains no trace rows.
         self._traces_seen = 0
         self._deadline_traces_seen = 0
         #: Actions already folded into a bound metrics registry.

@@ -7,9 +7,10 @@ affordable.  Instrumentation therefore has three tiers:
 
 1. **Vectorised folds** — per-request facts (latency, energy, images,
    deadline misses, coalescing, replays) are folded into the registry in
-   bulk at the telemetry's natural flush boundaries
-   (:meth:`ClusterInstrumentation.fold_rows`), one numpy pass per chunk
-   instead of one Python call per request.
+   bulk (:meth:`ClusterInstrumentation.fold_rows`), one numpy pass per
+   chunk instead of one Python call per request.  Retained rows are folded
+   at scrape time, never on the request path; aggregate-only telemetry
+   folds at its flush boundary, just before it drops the rows.
 2. **Collectors** — anything readable from live state (queue depth,
    virtual clock, fault log, node cache/residency counters) is pulled
    lazily at scrape time via :meth:`MetricsRegistry.register_collector`,
@@ -17,10 +18,9 @@ affordable.  Instrumentation therefore has three tiers:
 3. **Direct hooks** — only genuinely rare events (park/wake transitions,
    autoscaler actions, drains) increment counters inline.
 
-Span emission follows the same rule: the columnar kernel emits its
-modeled-time span trees retroactively during the fold, only for sampled
-requests (``request_id % sample_every == 0``); the object router emits
-inline at dispatch, where it is already paying per-request Python cost.
+Spans are not part of the fold: the router's settle step emits the
+modeled-time span trees of sampled requests (``request_id % sample_every
+== 0``) whenever a tracer is attached, with or without a registry.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.router import ClusterRouter
-    from repro.cluster.telemetry import RequestTrace
 
 __all__ = ["ClusterInstrumentation", "attach_cluster_observability"]
 
@@ -62,11 +61,8 @@ class ClusterInstrumentation:
     ``docs/OBSERVABILITY.md``).
     """
 
-    def __init__(self, metrics: MetricsRegistry, tracer: Optional[Tracer] = None):
+    def __init__(self, metrics: MetricsRegistry):
         self.metrics = metrics
-        self.tracer = tracer
-        #: Object-path fold cursor over ``ClusterTelemetry.traces``.
-        self._object_folded = 0
         #: Sorted node ids, set by :func:`attach_cluster_observability`.
         #: The fleet is fixed at router construction, so folds can skip
         #: re-deriving the distinct node set from every row chunk.
@@ -200,52 +196,23 @@ class ClusterInstrumentation:
     # ------------------------------------------------------------------ #
     # Vectorised folds (tier 1)
     # ------------------------------------------------------------------ #
-    def fold_rows(
-        self,
-        rows: Sequence[tuple],
-        energies: Sequence[Optional[float]],
-        emit_spans: bool = True,
-        cols: Optional[List[tuple]] = None,
-    ) -> Dict[int, int]:
-        """Fold telemetry rows (18-field tuples) into the registry in bulk.
-
-        Called by the columnar telemetry at flush boundaries and (via
-        :meth:`fold_traces`) by the scrape-time collector for the object
-        router.  Returns ``{request_id: root span id}`` for the sampled
-        requests whose modeled span trees were emitted here (empty when
-        ``emit_spans`` is false or no tracer is attached).
-
-        ``cols`` is an optional pre-transposed view of ``rows`` (one tuple
-        per field).  The row→column transpose is half the fold's cost, and
-        the columnar telemetry's aggregate fold computes the exact same
-        transpose — sharing it is what keeps the instrumented replay
-        inside the ≤5% overhead gate.
-        """
+    def fold_rows(self, rows: Sequence[tuple], energies: Sequence[float]) -> None:
+        """Fold settled telemetry rows (18-field tuples) into the registry."""
         if not rows:
-            return {}
-        if cols is None:
-            cols = list(zip(*rows))
-        try:
-            # Deferred energies are resolved before the fold, so the
-            # column is normally all-float and converts in one C pass.
-            energy = np.asarray(energies, dtype=np.float64)
-        except (TypeError, ValueError):
-            energy = np.asarray(
-                [0.0 if e is None else e for e in energies], dtype=np.float64
-            )
+            return
+        cols = list(zip(*rows))
         arrival = np.asarray(cols[5], dtype=np.float64)
         finish = np.asarray(cols[7], dtype=np.float64)
         sla_arr = np.asarray(cols[3], dtype=object)
-        return self.fold_columns(
+        self.fold_columns(
             cols,
-            energy=energy,
+            energy=np.asarray(energies, dtype=np.float64),
             images=np.asarray(cols[4], dtype=np.int64),
             arrival=arrival,
             finish=finish,
             latency=finish - arrival,
             missed=np.asarray(cols[10], dtype=bool),
             sla_masks={sla: sla_arr == sla for sla in sorted(set(cols[3]))},
-            emit_spans=emit_spans,
         )
 
     def fold_columns(
@@ -261,8 +228,7 @@ class ClusterInstrumentation:
         sla_masks: Dict[str, np.ndarray],
         coalesced_n: Optional[int] = None,
         replayed_n: Optional[int] = None,
-        emit_spans: bool = True,
-    ) -> Dict[int, int]:
+    ) -> None:
         """The fold itself, on pre-transposed columns and shared arrays.
 
         ``ColumnarTelemetry._flush`` calls this directly with the arrays
@@ -275,7 +241,6 @@ class ClusterInstrumentation:
         """
         n = len(cols[0])
         node_col = cols[2]
-        sla_col = cols[3]
 
         start = np.asarray(cols[6], dtype=np.float64)
         self.queue_delay.record_many(start - arrival)
@@ -325,56 +290,6 @@ class ClusterInstrumentation:
                     latency[group == series]
                 )
 
-        span_map: Dict[int, int] = {}
-        tracer = self.tracer
-        if emit_spans and tracer is not None and tracer.sample_every > 0:
-            ids = np.asarray(cols[0], dtype=np.int64)
-            compute_col = cols[8]
-            sampled = np.nonzero(ids % tracer.sample_every == 0)[0]
-            for index in sampled.tolist():
-                request_id = int(ids[index])
-                span_map[request_id] = tracer.emit_request(
-                    request_id,
-                    node_col[index],
-                    float(arrival[index]),
-                    float(start[index]),
-                    float(finish[index]),
-                    float(compute_col[index]),
-                    sla=sla_col[index],
-                )
-        return span_map
-
-    def fold_traces(self, traces: Sequence["RequestTrace"]) -> Dict[int, int]:
-        """Fold :class:`RequestTrace` objects (object-router path).
-
-        The object router emits spans inline at dispatch (it is already
-        per-request Python), so the fold here only aggregates metrics.
-        """
-        rows: List[Tuple] = [
-            (
-                t.request_id,
-                t.model_id,
-                t.node_id,
-                t.sla,
-                t.images,
-                t.arrival_s,
-                t.start_s,
-                t.finish_s,
-                t.compute_s,
-                t.deadline_s,
-                t.deadline_missed,
-                t.affinity_hit,
-                t.programmed,
-                t.feasible_at_admission,
-                t.execution_mode,
-                t.coalesced,
-                t.spot_checked,
-                t.replayed,
-            )
-            for t in traces
-        ]
-        return self.fold_rows(rows, [t.energy_j for t in traces], emit_spans=False)
-
     # ------------------------------------------------------------------ #
     # Direct hooks (tier 3)
     # ------------------------------------------------------------------ #
@@ -387,17 +302,7 @@ class ClusterInstrumentation:
     # ------------------------------------------------------------------ #
     def collect(self, router: "ClusterRouter") -> None:
         """Pull live router/node state into the registry (scrape time)."""
-        telemetry = router.telemetry
-        if hasattr(telemetry, "_flush"):
-            # Columnar path: flushing runs the fold hook installed by
-            # attach_cluster_observability, catching any unfolded tail.
-            telemetry._flush()
-        else:
-            traces = telemetry.traces
-            if len(traces) > self._object_folded:
-                self.fold_traces(traces[self._object_folded :])
-                self._object_folded = len(traces)
-
+        router.telemetry.fold_metrics()
         self.clock.set(router.clock_s)
         self.queue_depth.set(float(router.queue_depth()))
         _set_monotonic(
@@ -458,24 +363,19 @@ class ClusterInstrumentation:
 
 
 def attach_cluster_observability(
-    router: "ClusterRouter",
-    metrics: MetricsRegistry,
-    tracer: Optional[Tracer] = None,
+    router: "ClusterRouter", metrics: MetricsRegistry
 ) -> ClusterInstrumentation:
-    """Wire a router (either kernel) into a registry and optional tracer.
+    """Wire a router (or a fleet coordinator) into a registry.
 
-    Idempotent per router: attaching twice replaces the previous
-    instrumentation object.  The registry's virtual clock becomes the
-    router's modeled clock, a scrape-time collector is registered, and —
-    on the columnar path — the telemetry's flush boundary gains the
-    vectorised fold.
+    Attaching twice replaces the previous instrumentation object.  The
+    registry's virtual clock becomes the router's modeled clock, the
+    telemetry folds into the new families, and a scrape-time collector is
+    registered.
     """
-    instrumentation = ClusterInstrumentation(metrics, tracer)
+    instrumentation = ClusterInstrumentation(metrics)
     instrumentation.node_ids = tuple(sorted(node.node_id for node in router.nodes))
     metrics.set_virtual_clock(lambda: router.clock_s)
     router._obs = instrumentation
-    telemetry = router.telemetry
-    if hasattr(telemetry, "attach_instrumentation"):
-        telemetry.attach_instrumentation(instrumentation)
+    router.telemetry.instrumentation = instrumentation
     metrics.register_collector(lambda _registry: instrumentation.collect(router))
     return instrumentation

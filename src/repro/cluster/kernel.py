@@ -1,566 +1,38 @@
-"""Columnar discrete-event kernel for the cluster router.
+"""Deferred charge replay: the ledger machinery of the router's fast path.
 
-:class:`EventKernel` replays the router's virtual-time serving loop —
-admission, SLA placement, the lazy dispatch heap, fault injection, parked
-backlog replay, coalescing — over *columnar* request ledgers instead of
-per-request Python object churn.  ``ClusterRouter(kernel="columnar")``
-delegates to it; the default object router stays the bit-exactness oracle
-(the same pattern the per-lane macro references use).
+In ANALYTIC mode a warm dispatch's engine charges are a fixed template per
+(model, slice size): the same
+:meth:`~repro.core.matmul.TiledMatmulEngine.charge_layers` rows in the same
+order.  :class:`~repro.cluster.router.ClusterRouter` therefore buffers the
+per-node *sequence* of slice signatures (:class:`ChargeBuffer`) instead of
+charging each dispatch, and :func:`flush_charges` applies the sequence
+with ``np.add.accumulate`` folds — a strict sequential left fold, so every
+float accumulator receives the identical sequence of additions a direct
+per-dispatch charge performs, add for add.  Integer counters are
+batch-added (exact), LRU order is restored from last-touch order, and
+per-dispatch energies are recovered from the accumulator's slice
+boundaries exactly as ``ledger_since`` subtracts them.
 
-The fidelity contract ("bit-identical") covers every externally observable
-number: merged ledgers (cycles *and* float energy), per-request trace rows,
-telemetry aggregates, placement decisions, fault logs, and request
-conservation counters, in both EXACT and ANALYTIC execution modes, with
-fault plans and coalescing.  Two mechanisms make that possible at >20x the
-object router's request rate:
-
-* **Deferred charge replay.**  In ANALYTIC mode a warm dispatch's engine
-  charges are a fixed template per (model, slice size): the same
-  :meth:`~repro.core.matmul.TiledMatmulEngine.charge_layers` rows in the
-  same order.  The kernel buffers the per-node *sequence* of slice
-  signatures and flushes it with ``np.add.accumulate`` folds — a strict
-  sequential left fold, so every float accumulator receives the identical
-  sequence of additions the object router performs, add for add.  Integer
-  counters are batch-added (exact), LRU order is restored from last-touch
-  order, and per-dispatch energies are recovered from the accumulator's
-  slice boundaries exactly as ``ledger_since`` subtracts them.
-* **Columnar telemetry.**  :class:`ColumnarTelemetry` stores one tuple per
-  trace (energies filled at flush) and serves every aggregate with the
-  same left-fold order ``sum()`` uses; ``retain_traces=False`` folds
-  chunks into running aggregates and drops the rows, which is what keeps a
-  10^8-request replay in flat memory.
-
-Anything the fast path cannot replicate bit-exactly — cold programming,
-EXACT mode, custom scheduler subclasses, execution failures — flushes the
-deferred state and falls back to the very same node/scheduler calls the
-object router makes, so the slow path *is* the oracle.
-
-Direct node-level reads (``node.ledger()`` mid-run) may observe deferred
-charges; any router-level read (``ledger()``, ``summary()``, telemetry
-aggregates, ``drain()`` results) flushes first.
+:class:`NodeCache` holds the per-node derived state the fast path reads
+(estimates, slice/dispatch signatures, turbo constants), validated on
+access against the live node so any retune or re-programming rebuilds it.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from itertools import repeat
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.cluster.node import ClusterNode, ExecutionMode, NodeState
-from repro.cluster.scheduler import (
-    ClusterRequest,
-    NoActiveNodesError,
-    PlacementDecision,
-    SLAClass,
-    SLAScheduler,
-)
-from repro.cluster.telemetry import RequestTrace
+from repro.cluster.node import ClusterNode
+from repro.cluster.telemetry import _fold
 from repro.core import Opcode
 from repro.errors import ConfigurationError
-from repro.reliability.faults import FaultEvent, FaultKind
-from repro.utils.validation import check_positive
 
-#: ``sla_indices`` decoding used by workload traces (= workload.SLA_ORDER).
-_SLA_VALUES = (
-    SLAClass.LATENCY.value,
-    SLAClass.THROUGHPUT.value,
-    SLAClass.BEST_EFFORT.value,
-)
-
-__all__ = ["ColumnarTelemetry", "EventKernel"]
+__all__ = ["ChargeBuffer", "DispatchSig", "NodeCache", "SliceSig", "flush_charges"]
 
 
-def _fold(start: float, parts: List[np.ndarray]) -> float:
-    """Strict sequential left fold ``start + p[0] + p[1] + ...`` (bit-exact).
-
-    ``np.add.accumulate`` on float64 applies the same rounding sequence a
-    Python ``+=`` loop does, so the result equals the object router's
-    accumulator value bit for bit.
-    """
-    lead = np.empty(1, dtype=np.float64)
-    lead[0] = start
-    return float(np.add.accumulate(np.concatenate([lead] + parts))[-1])
-
-
-class ColumnarTelemetry:
-    """Drop-in :class:`~repro.cluster.telemetry.ClusterTelemetry` replacement
-    storing traces as columnar rows instead of dataclass objects.
-
-    The windowed reactive signals (recent miss rate, model heat, recent SLA
-    presence) are maintained online and never require a flush; whole-history
-    aggregates flush the kernel's deferred energies first and then fold the
-    columns in exactly the order the object implementation's ``sum()`` folds
-    its trace list.  With ``retain_traces=False`` flushed rows are folded
-    into running aggregates and dropped (flat memory); only ``summary()``,
-    ``deadline_miss_rate``, ``request_count``, ``total_energy_j`` and the
-    recent signals stay available in that mode.
-    """
-
-    #: RequestTrace field order, minus energy_j (deferred; parallel column).
-    _ROW_FIELDS = 18
-
-    #: Rows buffered in aggregate mode before they are folded into the
-    #: running aggregates and dropped (the flat-memory flush cadence).
-    _AGG_FLUSH_ROWS = 65536
-
-    def __init__(self, window: int = 32, retain_traces: bool = True) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.retain_traces = retain_traces
-        self._rows: List[tuple] = []
-        self._energy: List[Optional[float]] = []
-        self._recent: Deque[Tuple[str, str, bool, bool]] = deque(maxlen=window)
-        self._recent_model_counts: Dict[str, int] = {}
-        #: Lifetime count of deadline-carrying traces (the autoscaler's
-        #: "fresh latency traffic" signal without slicing the trace list).
-        self.deadline_trace_count = 0
-        self._flush_hook: Optional[Callable[[], None]] = None
-        #: Optional :class:`repro.cluster.instrumentation.ClusterInstrumentation`
-        #: folded into at flush boundaries (vectorised; never per-row).
-        self.instrumentation = None
-        #: Rows already folded into the instrumentation registry.
-        self._obs_folded = 0
-        #: request_id → root span id for sampled requests (spans are
-        #: emitted retroactively during the instrumentation fold).
-        self._span_by_request: Dict[int, int] = {}
-        #: Materialized RequestTrace cache (extends incrementally).
-        self._trace_objs: List[RequestTrace] = []
-        self._columns_stamp = -1
-        self._columns: Dict[str, np.ndarray] = {}
-        # Aggregate-mode running folds (exact sequential continuations).
-        self._agg_count = 0
-        self._agg_images = 0
-        self._agg_energy = 0.0
-        self._agg_latency = 0.0
-        self._agg_affinity = 0
-        self._agg_programmed = 0
-        self._agg_analytic = 0
-        self._agg_coalesced = 0
-        self._agg_spot = 0
-        self._agg_replayed = 0
-        self._agg_sla_count: Dict[str, int] = {}
-        self._agg_eligible: Dict[Optional[str], int] = {}
-        self._agg_missed: Dict[Optional[str], int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Recording
-    # ------------------------------------------------------------------ #
-    def _note(self, model_id: str, sla: str, has_deadline: bool, missed: bool) -> None:
-        """Maintain the sliding window exactly as the object telemetry does."""
-        counts = self._recent_model_counts
-        recent = self._recent
-        if len(recent) == self.window:
-            evicted = recent[0][0]
-            remaining = counts[evicted] - 1
-            if remaining:
-                counts[evicted] = remaining
-            else:
-                del counts[evicted]
-        recent.append((model_id, sla, has_deadline, missed))
-        counts[model_id] = counts.get(model_id, 0) + 1
-        if has_deadline:
-            self.deadline_trace_count += 1
-
-    def record_row(self, row: tuple, energy: Optional[float]) -> int:
-        """Append one trace row; returns its index (for deferred energy).
-
-        ``row`` is the :class:`RequestTrace` field tuple *without*
-        ``energy_j``: (request_id, model_id, node_id, sla, images,
-        arrival_s, start_s, finish_s, compute_s, deadline_s,
-        deadline_missed, affinity_hit, programmed, feasible_at_admission,
-        execution_mode, coalesced, spot_checked, replayed).
-        """
-        index = len(self._rows)
-        self._rows.append(row)
-        self._energy.append(energy)
-        self._note(row[1], row[3], row[9] is not None, row[10])
-        return index
-
-    def record_rows_batch(self, rows: List[tuple]) -> int:
-        """Append a chunk of trace rows (energies deferred); returns the
-        index of the first appended row.
-
-        The batch entry point of the kernel's turbo replay: one call per
-        dispatch chunk instead of one per request.  The sliding window ends
-        in the same state sequential :meth:`record_row` calls leave it in —
-        when the chunk covers the whole window only the tail can survive,
-        so the window is rebuilt from the tail directly.
-        """
-        base = len(self._rows)
-        self._rows.extend(rows)
-        self._energy.extend([None] * len(rows))
-        if len(rows) >= self.window:
-            recent = self._recent
-            recent.clear()
-            recent.extend(
-                (r[1], r[3], r[9] is not None, r[10])
-                for r in rows[len(rows) - self.window :]
-            )
-            counts: Dict[str, int] = {}
-            for item in recent:
-                counts[item[0]] = counts.get(item[0], 0) + 1
-            self._recent_model_counts = counts
-            self.deadline_trace_count += sum(
-                1 for r in rows if r[9] is not None
-            )
-        else:
-            for r in rows:
-                self._note(r[1], r[3], r[9] is not None, r[10])
-        return base
-
-    def maybe_fold(self) -> None:
-        """Fold-and-drop when the aggregate-mode row buffer grows large.
-
-        Called at dispatch-chunk boundaries (never mid-dispatch: folding
-        resolves the kernel's deferred energies first, which must not run
-        while a dispatch is still appending its rows).  A no-op with
-        retained traces or below the buffering threshold.
-        """
-        if not self.retain_traces and len(self._rows) >= self._AGG_FLUSH_ROWS:
-            self._flush()
-
-    def set_energy(self, index: int, energy: float) -> None:
-        """Fill a deferred energy share (called by the kernel's flush)."""
-        self._energy[index] = energy
-
-    def set_energy_batch(
-        self, indexes: Sequence[int], energies: Sequence[float]
-    ) -> None:
-        """Fill many deferred energy shares in one pass."""
-        column = self._energy
-        for index, energy in zip(indexes, energies):
-            column[index] = energy
-
-    def record(self, trace: RequestTrace) -> None:
-        """Object-telemetry-compatible entry point (tests, manual use)."""
-        self.record_row(
-            (
-                trace.request_id, trace.model_id, trace.node_id, trace.sla,
-                trace.images, trace.arrival_s, trace.start_s, trace.finish_s,
-                trace.compute_s, trace.deadline_s, trace.deadline_missed,
-                trace.affinity_hit, trace.programmed,
-                trace.feasible_at_admission, trace.execution_mode,
-                trace.coalesced, trace.spot_checked, trace.replayed,
-            ),
-            trace.energy_j,
-        )
-
-    def attach_instrumentation(self, instrumentation) -> None:
-        """Fold future flushes into a cluster instrumentation registry.
-
-        Rows recorded before attachment are folded on the next flush too
-        (the cursor starts at the current fold position, which is zero on
-        a fresh telemetry).
-        """
-        self.instrumentation = instrumentation
-
-    # ------------------------------------------------------------------ #
-    # Flush / aggregate-mode folding
-    # ------------------------------------------------------------------ #
-    def _flush(self) -> None:
-        """Resolve deferred energies (and fold+drop rows in aggregate mode)."""
-        if self._flush_hook is not None:
-            self._flush_hook()
-        if self.retain_traces or not self._rows:
-            # Retained-trace mode: no aggregate fold runs, so the
-            # observability fold (if attached) walks the unfolded tail on
-            # its own.  Energies are resolved by the hook above, so the
-            # fold sees final values.
-            if self.instrumentation is not None and len(self._rows) > self._obs_folded:
-                spans = self.instrumentation.fold_rows(
-                    self._rows[self._obs_folded :],
-                    self._energy[self._obs_folded :],
-                )
-                if spans:
-                    self._span_by_request.update(spans)
-                self._obs_folded = len(self._rows)
-            return
-        rows = self._rows
-        cols = list(zip(*rows))
-        energy = np.asarray(self._energy, dtype=np.float64)
-        images = np.asarray(cols[4], dtype=np.int64)
-        arrival = np.asarray(cols[5], dtype=np.float64)
-        finish = np.asarray(cols[7], dtype=np.float64)
-        latency = finish - arrival
-        missed = np.asarray(cols[10], dtype=bool)
-        sla_arr = np.asarray(cols[3], dtype=object)
-        sla_masks = {sla: sla_arr == sla for sla in sorted(set(cols[3]))}
-        coalesced_n = sum(1 for c in cols[15] if c > 1)
-        replayed_n = int(np.count_nonzero(cols[17]))
-        if self.instrumentation is not None:
-            # One vectorised observability fold per flush, sharing the
-            # transpose and column arrays the aggregate fold below needs
-            # anyway — the sharing is what keeps the instrumented replay
-            # inside the ≤5% overhead gate.  The fold cursor is always at
-            # zero in aggregate mode (rows are dropped after every flush).
-            spans = self.instrumentation.fold_columns(
-                cols,
-                energy=energy,
-                images=images,
-                arrival=arrival,
-                finish=finish,
-                latency=latency,
-                missed=missed,
-                sla_masks=sla_masks,
-                coalesced_n=coalesced_n,
-                replayed_n=replayed_n,
-            )
-            if spans:
-                self._span_by_request.update(spans)
-        self._agg_count += len(rows)
-        self._agg_images += int(images.sum())
-        self._agg_energy = _fold(self._agg_energy, [energy])
-        self._agg_latency = _fold(self._agg_latency, [latency])
-        self._agg_affinity += int(np.count_nonzero(cols[11]))
-        self._agg_programmed += int(np.count_nonzero(cols[12]))
-        self._agg_analytic += sum(1 for m in cols[14] if m == "analytic")
-        self._agg_coalesced += coalesced_n
-        self._agg_spot += int(np.count_nonzero(cols[16]))
-        self._agg_replayed += replayed_n
-        has_deadline = np.asarray([d is not None for d in cols[9]], dtype=bool)
-        for sla, mask in sla_masks.items():
-            self._agg_sla_count[sla] = self._agg_sla_count.get(sla, 0) + int(
-                mask.sum()
-            )
-            eligible = mask & has_deadline
-            if eligible.any():
-                self._agg_eligible[sla] = self._agg_eligible.get(sla, 0) + int(
-                    eligible.sum()
-                )
-                self._agg_missed[sla] = self._agg_missed.get(sla, 0) + int(
-                    (eligible & missed).sum()
-                )
-        self._agg_eligible[None] = self._agg_eligible.get(None, 0) + int(
-            has_deadline.sum()
-        )
-        self._agg_missed[None] = self._agg_missed.get(None, 0) + int(
-            (has_deadline & missed).sum()
-        )
-        self._rows = []
-        self._energy = []
-        self._trace_objs = []
-        self._obs_folded = 0
-        self._columns_stamp = -1
-
-    def _need_rows(self, what: str) -> None:
-        if not self.retain_traces:
-            raise ConfigurationError(
-                f"{what} needs retained traces; this telemetry was built "
-                "with retain_traces=False (aggregates only)"
-            )
-
-    def _cols(self) -> Dict[str, np.ndarray]:
-        """Columnar views of the retained rows (cached per append stamp)."""
-        if self._columns_stamp != len(self._rows):
-            rows = self._rows
-            cols = list(zip(*rows)) if rows else [[] for _ in range(self._ROW_FIELDS)]
-            self._columns = {
-                "sla": np.asarray(cols[3], dtype=object),
-                "model": np.asarray(cols[1], dtype=object),
-                "images": np.asarray(cols[4], dtype=np.int64),
-                "arrival": np.asarray(cols[5], dtype=np.float64),
-                "finish": np.asarray(cols[7], dtype=np.float64),
-                "has_deadline": np.asarray(
-                    [d is not None for d in cols[9]], dtype=bool
-                ),
-                "missed": np.asarray(cols[10], dtype=bool),
-                "affinity": np.asarray(cols[11], dtype=bool),
-            }
-            self._columns_stamp = len(self._rows)
-        return self._columns
-
-    def _energy_col(self) -> np.ndarray:
-        return np.asarray(self._energy, dtype=np.float64)
-
-    # ------------------------------------------------------------------ #
-    # Reactive signals (online; no flush needed)
-    # ------------------------------------------------------------------ #
-    def recent_deadline_miss_rate(self, sla: Optional[str] = None) -> float:
-        eligible = [
-            t for t in self._recent if t[2] and (sla is None or t[1] == sla)
-        ]
-        if not eligible:
-            return 0.0
-        return sum(t[3] for t in eligible) / len(eligible)
-
-    def recent_model_dispatches(self, model_id: str) -> int:
-        return self._recent_model_counts.get(model_id, 0)
-
-    def recent_has_sla(self, sla: str) -> bool:
-        return any(t[1] == sla for t in self._recent)
-
-    # ------------------------------------------------------------------ #
-    # Whole-history aggregates
-    # ------------------------------------------------------------------ #
-    @property
-    def trace_count(self) -> int:
-        """Lifetime number of recorded traces (cheap; no flush)."""
-        return self._agg_count + len(self._rows)
-
-    @property
-    def traces(self) -> List[RequestTrace]:
-        """Materialized trace objects (flushes deferred energies first)."""
-        self._need_rows("traces")
-        self._flush()
-        built = len(self._trace_objs)
-        if built < len(self._rows):
-            rows = self._rows
-            energy = self._energy
-            span_ids = self._span_by_request
-            for i in range(built, len(rows)):
-                r = rows[i]
-                self._trace_objs.append(
-                    RequestTrace(
-                        r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8],
-                        energy[i], r[9], r[10], r[11], r[12], r[13], r[14],
-                        r[15], r[16], r[17], span_ids.get(r[0]),
-                    )
-                )
-        return self._trace_objs
-
-    def traces_for(
-        self, sla: Optional[str] = None, model_id: Optional[str] = None
-    ) -> List[RequestTrace]:
-        return [
-            t
-            for t in self.traces
-            if (sla is None or t.sla == sla)
-            and (model_id is None or t.model_id == model_id)
-        ]
-
-    def request_count(self, sla: Optional[str] = None) -> int:
-        """Lifetime trace count, optionally restricted to one SLA class."""
-        if sla is None:
-            return self.trace_count
-        self._flush()
-        cols = self._cols()
-        folded = self._agg_sla_count.get(sla, 0)
-        if len(self._rows):
-            folded += int(np.count_nonzero(cols["sla"] == sla))
-        return folded
-
-    def deadline_miss_rate(self, sla: Optional[str] = None) -> float:
-        self._flush()
-        eligible = self._agg_eligible.get(sla, 0) if sla is not None else (
-            self._agg_eligible.get(None, 0)
-        )
-        missed = self._agg_missed.get(sla, 0) if sla is not None else (
-            self._agg_missed.get(None, 0)
-        )
-        if self._rows:
-            cols = self._cols()
-            mask = cols["has_deadline"]
-            if sla is not None:
-                mask = mask & (cols["sla"] == sla)
-            eligible += int(np.count_nonzero(mask))
-            missed += int(np.count_nonzero(mask & cols["missed"]))
-        if not eligible:
-            return 0.0
-        return missed / eligible
-
-    def total_energy_j(self) -> float:
-        """Lifetime energy fold over the trace log (== sum of energies)."""
-        self._flush()
-        if not self._rows:
-            return self._agg_energy if self._agg_count else 0.0
-        return _fold(self._agg_energy, [self._energy_col()])
-
-    def energy_per_image_j(self, sla: Optional[str] = None) -> float:
-        self._need_rows("energy_per_image_j")
-        self._flush()
-        cols = self._cols()
-        if sla is None:
-            images = int(cols["images"].sum()) if len(self._rows) else 0
-            energy = self._energy_col()
-        else:
-            mask = cols["sla"] == sla
-            images = int(cols["images"][mask].sum()) if len(self._rows) else 0
-            energy = self._energy_col()[mask]
-        if not images:
-            return 0.0
-        return _fold(0.0, [energy]) / images
-
-    def _latencies(self, sla: Optional[str]) -> np.ndarray:
-        cols = self._cols()
-        latency = cols["finish"] - cols["arrival"]
-        if sla is not None:
-            latency = latency[cols["sla"] == sla]
-        return latency
-
-    def latency_quantiles_s(
-        self,
-        quantiles=(0.5, 0.9, 0.99, 0.999),
-        sla: Optional[str] = None,
-    ) -> Dict[float, float]:
-        self._need_rows("latency_quantiles_s")
-        self._flush()
-        latencies = np.sort(self._latencies(sla))
-        if not len(latencies):
-            return {q: 0.0 for q in quantiles}
-        last = len(latencies) - 1
-        return {
-            q: float(latencies[min(last, int(q * len(latencies)))])
-            for q in quantiles
-        }
-
-    def mean_latency_s(self, sla: Optional[str] = None) -> float:
-        self._flush()
-        if sla is None and not self.retain_traces:
-            count = self.trace_count
-            return self._agg_latency / count if count else 0.0
-        self._need_rows("mean_latency_s(sla=...)")
-        latencies = self._latencies(sla)
-        if not len(latencies):
-            return 0.0
-        return _fold(0.0, [latencies]) / len(latencies)
-
-    def summary(self) -> Dict[str, float]:
-        self._flush()
-        cols = self._cols()
-        n = len(self._rows)
-        count = self._agg_count + n
-        images = self._agg_images + (int(cols["images"].sum()) if n else 0)
-        energy = self.total_energy_j() if count else 0.0
-        affinity = self._agg_affinity + (
-            int(np.count_nonzero(cols["affinity"])) if n else 0
-        )
-        rows = self._rows
-        programmed = self._agg_programmed + sum(1 for r in rows if r[12])
-        analytic = self._agg_analytic + sum(
-            1 for r in rows if r[14] == "analytic"
-        )
-        coalesced = self._agg_coalesced + sum(1 for r in rows if r[15] > 1)
-        spot = self._agg_spot + sum(1 for r in rows if r[16])
-        replayed = self._agg_replayed + sum(1 for r in rows if r[17])
-        if self.retain_traces:
-            mean_latency = (
-                _fold(0.0, [self._latencies(None)]) / count if count else 0.0
-            )
-        else:
-            mean_latency = self._agg_latency / count if count else 0.0
-        return {
-            "requests": float(count),
-            "images": float(images),
-            "energy_j": energy,
-            "mean_latency_s": mean_latency,
-            "deadline_miss_rate": self.deadline_miss_rate(),
-            "affinity_hit_rate": (affinity / count if count else 0.0),
-            "programmed_dispatches": float(programmed),
-            "analytic_requests": float(analytic),
-            "coalesced_requests": float(coalesced),
-            "spot_checked_requests": float(spot),
-            "replayed_requests": float(replayed),
-        }
-
-
-# ---------------------------------------------------------------------- #
-# Deferred charge replay (the analytic fast path's ledger machinery)
-# ---------------------------------------------------------------------- #
-class _SliceSig:
+class SliceSig:
     """Charge template of one ``charge_layers`` call: (model, slice size).
 
     Holds exactly the values the engine's per-row loop would add, laid out
@@ -592,7 +64,7 @@ class _SliceSig:
         self.n_rows = len(rows_all)
         # Per-macro template, keyed in *first-touch* order (dict insertion
         # order), so flush can create stats records in the order the
-        # object path's defaultdict would.
+        # direct path's defaultdict would.
         per_macro: Dict[int, list] = {}
         for r in rows_all:
             d = per_macro.get(r[0])
@@ -626,12 +98,12 @@ class _SliceSig:
         self.layer_ids = layer_ids
 
 
-class _DispatchSig:
+class DispatchSig:
     """Slice sequence + cached compute time of one (model, total images)."""
 
     __slots__ = ("slices", "batches", "critical_total", "_compute", "_cycle")
 
-    def __init__(self, slices: List[_SliceSig], cycle_time: float) -> None:
+    def __init__(self, slices: List[SliceSig], cycle_time: float) -> None:
         self.slices = slices
         self.batches = len(slices)
         self.critical_total = sum(s.critical for s in slices)
@@ -650,7 +122,7 @@ class _DispatchSig:
         return cached
 
 
-class _ChargeBuffer:
+class ChargeBuffer:
     """Per-node deferred charge state: the slice-event sequence."""
 
     __slots__ = (
@@ -660,10 +132,10 @@ class _ChargeBuffer:
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        #: One entry per buffered dispatch: its ``_SliceSig`` pattern list
+        #: One entry per buffered dispatch: its ``SliceSig`` pattern list
         #: (the dsig's own list object — distinct patterns are few, so the
         #: flush dedupes them by identity and replays vectorized).
-        self.dispatches: List[List[_SliceSig]] = []
+        self.dispatches: List[List[SliceSig]] = []
         #: Deferred telemetry rows, as parallel columns:
         #: row index / dispatch ordinal / coalesced fraction (or None).
         self.row_indexes: List[int] = []
@@ -681,7 +153,7 @@ class _ChargeBuffer:
         self.any_fraction = False
 
 
-def _flush_buffer(node: ClusterNode, buf: _ChargeBuffer, telemetry) -> None:
+def flush_charges(node: ClusterNode, buf: ChargeBuffer, telemetry) -> None:
     """Apply a node's buffered charge sequence to its real ledgers.
 
     The buffer holds one slice-*pattern* reference per dispatch and the
@@ -690,7 +162,7 @@ def _flush_buffer(node: ClusterNode, buf: _ChargeBuffer, telemetry) -> None:
     receives its additions through sequential ``np.add.accumulate`` folds
     over pattern segments gathered in dispatch order — the identical
     increment sequence, and therefore the identical rounding sequence, the
-    object path's per-row ``+=`` loops apply — while integer counters are
+    direct path's per-row ``+=`` loops apply — while integer counters are
     batch-added (exact) and LRU order is restored from the last-touch
     order of the event sequence.
     """
@@ -800,7 +272,7 @@ def _flush_buffer(node: ClusterNode, buf: _ChargeBuffer, telemetry) -> None:
                 else lists[1][0]
             )
     # First-ever touches create the MULT then ADD records exactly where
-    # the object path's first row would have (global first-touch order).
+    # the direct path's first row would have (global first-touch order).
     for _key, m in sorted(
         (key, m) for m, key in first_key.items() if m not in seen
     ):
@@ -872,7 +344,7 @@ def _flush_buffer(node: ClusterNode, buf: _ChargeBuffer, telemetry) -> None:
     for layer_id, _ in sorted(last_key.items(), key=lambda kv: kv[1]):
         entries.move_to_end(layer_id)
     # --- per-dispatch energies -> deferred telemetry rows --------------- #
-    # Per dispatch the object path folds its slice deltas left to right
+    # Per dispatch the direct path folds its slice deltas left to right
     # from 0.0; replicate element-wise, one vector op per slice position.
     denergy = np.zeros(ndisp, dtype=np.float64)
     starts_s = np.cumsum(slices_per_disp) - slices_per_disp
@@ -890,31 +362,13 @@ def _flush_buffer(node: ClusterNode, buf: _ChargeBuffer, telemetry) -> None:
             shares = np.asarray(shares_list, dtype=np.float64)
         else:
             shares_list = shares.tolist()
-        set_batch = getattr(telemetry, "set_energy_batch", None)
-        if set_batch is not None:
-            set_batch(row_indexes, shares_list)
-        else:  # pragma: no cover - object-telemetry compatibility
-            for row_index, share in zip(row_indexes, shares_list):
-                telemetry.set_energy(row_index, share)
+        telemetry.set_energy_batch(row_indexes, shares_list)
         node_tel = node.telemetry
         node_tel.energy_j = _fold(node_tel.energy_j, [shares])
     buf.reset()
 
 
-# ---------------------------------------------------------------------- #
-# Queue entry layout (plain tuples: object churn is what we are removing)
-# ---------------------------------------------------------------------- #
-#: (request_id, model_id, images, sla, arrival_s, deadline_s, input_digest,
-#:  image_count, reserved span, feasible_at_admission)
-_E_RID, _E_MODEL, _E_IMAGES, _E_SLA, _E_ARRIVAL, _E_DEADLINE = 0, 1, 2, 3, 4, 5
-_E_DIGEST, _E_COUNT, _E_SPAN, _E_FEASIBLE = 6, 7, 8, 9
-
-#: Decision layout: (node_id, sla, feasible, affinity_hit, replicated,
-#: est_start_s, est_finish_s, est_latency_s, est_energy_per_image_j,
-#: candidates) — materialized into PlacementDecision on demand.
-
-
-class _NodeCache:
+class NodeCache:
     """Per-node derived state, validated on access against the live node.
 
     ``engine``/``ptiles`` detect any (re-)programming or retune — evictions
@@ -927,1404 +381,3 @@ class _NodeCache:
         "engine", "ptiles", "degrade", "hazard", "cycle_time",
         "estimates", "fast_ok", "ssigs", "dsigs", "turbo",
     )
-
-
-class EventKernel:
-    """Columnar replacement of the object router's virtual-time loop.
-
-    Holds the same admission / dispatch-heap / fault state machine as
-    :class:`~repro.cluster.router.ClusterRouter` (which delegates to it when
-    built with ``kernel="columnar"``), but keeps requests as plain tuples,
-    placements as tuples, telemetry as columnar rows, and warm analytic
-    charges as deferred slice signatures — see the module docstring for the
-    fidelity contract.
-    """
-
-    def __init__(self, router, retain_results: bool = True) -> None:
-        self.router = router
-        self.nodes = router.nodes
-        self._by_id = router._by_id
-        self.scheduler = router.scheduler
-        self.telemetry = router.telemetry
-        self.coalesce = router.coalesce
-        #: False drops per-request results (drain returns []); counters and
-        #: telemetry stay exact.  The 10^8-request flat-memory mode.
-        self.retain_results = retain_results
-        #: Subclassed schedulers get the generic (oracle) choose path.
-        self._fast_sched = type(self.scheduler) is SLAScheduler
-        self._fault_events: Tuple[FaultEvent, ...] = router._fault_events
-        self._fault_cursor = 0
-        self.fault_log = router.fault_log  # shared list, single log
-        self.clock = 0.0
-        self._queues: Dict[str, Deque[tuple]] = {
-            node.node_id: deque() for node in self.nodes
-        }
-        self._completed: Dict[str, float] = {
-            node.node_id: 0.0 for node in self.nodes
-        }
-        self._heap: List[Tuple[float, str]] = []
-        self._queued = 0
-        self._pending_by_model: Dict[str, Dict[str, int]] = {}
-        self._seen_state: Dict[str, NodeState] = {
-            node.node_id: node.state for node in self.nodes
-        }
-        self._stranded: Set[str] = set()
-        self._replayed: Set[int] = set()
-        self.replayed_placements = 0
-        self._next_rid = 0
-        self._decisions: Dict[int, tuple] = {}
-        self._failed: Dict[int, BaseException] = {}
-        self._results: Dict[int, object] = {}
-        self._pending_results: Dict[int, tuple] = {}
-        self._completed_count = 0
-        self._ncache: Dict[str, _NodeCache] = {}
-        self._buffers: Dict[str, _ChargeBuffer] = {}
-        from repro.cluster.router import ClusterResult  # deferred: cycle
-
-        self._result_cls = ClusterResult
-        self.telemetry._flush_hook = self.flush_all
-        for node in self.nodes:
-            node._pre_mutate_hooks.append(
-                lambda node_id=node.node_id: self.flush_node(node_id)
-            )
-
-    # ------------------------------------------------------------------ #
-    # Deferred-state maintenance
-    # ------------------------------------------------------------------ #
-    def flush_node(self, node_id: str) -> None:
-        """Apply one node's buffered charge sequence to its real ledgers."""
-        buf = self._buffers.get(node_id)
-        if buf is not None and buf.dispatches:
-            _flush_buffer(self._by_id[node_id], buf, self.telemetry)
-
-    def flush_all(self) -> None:
-        """Apply every node's buffered charges (router-level reads)."""
-        for node in self.nodes:
-            self.flush_node(node.node_id)
-
-    def _node_cache(self, node: ClusterNode) -> _NodeCache:
-        nc = self._ncache.get(node.node_id)
-        engine = node.engine
-        ptiles = engine.counters.programmed_tiles
-        if nc is None or nc.engine is not engine or nc.ptiles != ptiles:
-            if nc is None:
-                nc = _NodeCache()
-                nc.hazard = node.hazard
-                self._ncache[node.node_id] = nc
-            nc.engine = engine
-            nc.ptiles = ptiles
-            nc.degrade = node.degrade_factor
-            nc.cycle_time = engine.chip.cycle_time_s()
-            nc.estimates = {}
-            nc.fast_ok = {}
-            nc.ssigs = {}
-            nc.dsigs = {}
-            nc.turbo = {}
-        elif nc.degrade != node.degrade_factor:
-            nc.degrade = node.degrade_factor
-            nc.estimates = {}
-            nc.turbo = {}
-        return nc
-
-    # ------------------------------------------------------------------ #
-    # Fault injection
-    # ------------------------------------------------------------------ #
-    def _apply_due_faults(self) -> None:
-        events = self._fault_events
-        while (
-            self._fault_cursor < len(events)
-            and events[self._fault_cursor].at_s <= self.clock
-        ):
-            event = events[self._fault_cursor]
-            self._fault_cursor += 1
-            self._apply_fault(event)
-
-    def _apply_fault(self, event: FaultEvent) -> None:
-        node = self._by_id[event.node_id]
-        if event.kind is FaultKind.CRASH:
-            if node.state is not NodeState.FAILED:
-                node.fail()
-            self._seen_state[event.node_id] = NodeState.FAILED
-            if self._queues[event.node_id]:
-                self._replace_parked_backlog(event.node_id)
-        elif event.kind is FaultKind.RECOVER:
-            node.recover()
-            if self._seen_state[event.node_id] is not NodeState.ACTIVE:
-                self._seen_state[event.node_id] = NodeState.ACTIVE
-                self._push_head_candidate(event.node_id)
-                self._retry_stranded()
-        elif event.kind is FaultKind.STALL:
-            self._completed[event.node_id] = (
-                max(self._completed[event.node_id], event.at_s) + event.duration_s
-            )
-            self._rebuild_reservation(event.node_id)
-        elif event.kind is FaultKind.DEGRADE:
-            node.degrade(event.factor)
-        elif event.kind is FaultKind.RESTORE:
-            node.restore()
-        self.fault_log.append(event)
-
-    def _advance_to_next_fault(self) -> bool:
-        if self._fault_cursor >= len(self._fault_events):
-            return False
-        self.clock = max(self.clock, self._fault_events[self._fault_cursor].at_s)
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Queue bookkeeping
-    # ------------------------------------------------------------------ #
-    def _enqueue(self, node_id: str, entry: tuple) -> None:
-        queue = self._queues[node_id]
-        queue.append(entry)
-        self._queued += 1
-        counts = self._pending_by_model.setdefault(entry[_E_MODEL], {})
-        counts[node_id] = counts.get(node_id, 0) + 1
-        if len(queue) == 1 and self._by_id[node_id].state is NodeState.ACTIVE:
-            heapq.heappush(
-                self._heap,
-                (max(self._completed[node_id], entry[_E_ARRIVAL]), node_id),
-            )
-
-    def _dequeue_head(self, node_id: str) -> tuple:
-        entry = self._queues[node_id].popleft()
-        self._queued -= 1
-        counts = self._pending_by_model[entry[_E_MODEL]]
-        remaining = counts[node_id] - 1
-        if remaining:
-            counts[node_id] = remaining
-        else:
-            del counts[node_id]
-            if not counts:
-                del self._pending_by_model[entry[_E_MODEL]]
-        return entry
-
-    def _push_head_candidate(self, node_id: str) -> None:
-        queue = self._queues[node_id]
-        if queue:
-            heapq.heappush(
-                self._heap,
-                (max(self._completed[node_id], queue[0][_E_ARRIVAL]), node_id),
-            )
-
-    def _pending_nodes(self, model_id: str) -> frozenset:
-        counts = self._pending_by_model.get(model_id)
-        if not counts:
-            return frozenset()
-        return frozenset(counts)
-
-    def queue_depth(self, node_id: Optional[str] = None) -> int:
-        if node_id is not None:
-            return len(self._queues[node_id])
-        return self._queued
-
-    # ------------------------------------------------------------------ #
-    # Placement
-    # ------------------------------------------------------------------ #
-    def _choose_fast(self, model_id, images, sla, arrival, deadline) -> tuple:
-        """Inlined :meth:`SLAScheduler.choose` over cached estimate bundles.
-
-        Value- and order-identical to the scheduler: same candidate order
-        (fleet order, active only), same ranking keys, same first-minimum
-        tie-breaks, same pool restrictions.
-        """
-        scheduler = self.scheduler
-        scored = []
-        for node in self.nodes:
-            if node.state is not NodeState.ACTIVE:
-                continue
-            nc = self._node_cache(node)
-            key = (model_id, images.shape)
-            est = nc.estimates.get(key)
-            if est is None:
-                est = node.estimate_request(model_id, images)
-                nc.estimates[key] = est
-            scored.append(
-                (node, est, max(node.available_s, arrival) + est.latency_s,
-                 nc.hazard)
-            )
-        if not scored:
-            raise NoActiveNodesError(
-                "no active nodes: wake a parked node before submitting"
-            )
-        pending = self._pending_by_model.get(model_id)
-        hw = scheduler.hazard_weight
-
-        if sla is SLAClass.LATENCY:
-            best = best_key = None
-            any_feasible = False
-            for e in scored:
-                lat = e[2] - arrival
-                feasible = lat <= deadline
-                if feasible and not any_feasible:
-                    any_feasible = True
-                    best = best_key = None
-                if any_feasible and not feasible:
-                    continue
-                k = (lat * (1.0 + hw * e[3]), e[1].energy_j, e[0].node_id)
-                if best_key is None or k < best_key:
-                    best, best_key = e, k
-            node, est, finish, _ = best
-            is_feasible = any_feasible
-            has_resident = any(
-                e[1].resident or (pending and e[0].node_id in pending)
-                for e in scored
-            )
-        else:
-            resident = [
-                e for e in scored
-                if e[1].resident or (pending and e[0].node_id in pending)
-            ]
-            hot = (
-                self.telemetry.recent_model_dispatches(model_id)
-                >= scheduler.hot_threshold
-            )
-            if not resident:
-                pool = scored
-            else:
-                spreading = (
-                    hot
-                    and len(resident) < scheduler.max_replicas
-                    and len(resident) < len(scored)
-                )
-                pool = (
-                    [e for e in scored if not e[1].resident]
-                    if spreading
-                    else resident
-                )
-            if scheduler.coalesce_affinity and pending:
-                mergeable = [e for e in pool if e[0].node_id in pending]
-                if mergeable:
-                    pool = mergeable
-            best = best_key = None
-            if sla is SLAClass.THROUGHPUT:
-                for e in pool:
-                    k = (
-                        e[1].energy_per_image_j * (1.0 + hw * e[3]),
-                        e[2],
-                        e[0].node_id,
-                    )
-                    if best_key is None or k < best_key:
-                        best, best_key = e, k
-            else:  # BEST_EFFORT
-                for e in pool:
-                    k = (
-                        (max(e[0].available_s, arrival) - arrival)
-                        * (1.0 + hw * e[3]),
-                        e[3],
-                        e[0].node_id,
-                    )
-                    if best_key is None or k < best_key:
-                        best, best_key = e, k
-            node, est, finish, _ = best
-            is_feasible = True
-            has_resident = bool(resident)
-        return (
-            node.node_id,
-            sla,
-            is_feasible,
-            est.resident,
-            bool(has_resident) and not est.resident,
-            max(node.available_s, arrival),
-            finish,
-            est.latency_s,
-            est.energy_per_image_j,
-            len(scored),
-        )
-
-    def _choose_generic(
-        self, rid, model_id, images, sla, arrival, deadline, digest
-    ) -> tuple:
-        """Oracle path for subclassed schedulers: real ClusterRequest + choose."""
-        request = ClusterRequest(
-            request_id=rid,
-            model_id=model_id,
-            images=images,
-            sla=sla,
-            arrival_s=arrival,
-            deadline_s=deadline,
-            input_digest=digest,
-        )
-        d = self.scheduler.choose(
-            request, self.nodes, self.telemetry,
-            pending=self._pending_nodes(model_id),
-        )
-        return (
-            d.node_id, d.sla, d.feasible, d.affinity_hit, d.replicated,
-            d.est_start_s, d.est_finish_s, d.est_latency_s,
-            d.est_energy_per_image_j, d.candidates,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Admission
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        model_id: str,
-        images: np.ndarray,
-        sla: SLAClass = SLAClass.BEST_EFFORT,
-        deadline_s: Optional[float] = None,
-        arrival_s: Optional[float] = None,
-        input_digest: Optional[str] = None,
-    ) -> int:
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim != 4 or images.shape[0] == 0:
-            raise ConfigurationError(
-                "expected a non-empty (batch, channels, height, width) array"
-            )
-        if sla is SLAClass.LATENCY:
-            if deadline_s is None or deadline_s <= 0:
-                raise ConfigurationError(
-                    "latency-class requests need a positive deadline_s"
-                )
-        arrival = self.clock if arrival_s is None else float(arrival_s)
-        if arrival < 0:
-            raise ConfigurationError("arrival_s must be non-negative")
-        if arrival > self.clock:
-            self.clock = arrival
-        self._apply_due_faults()
-        rid = self._next_rid
-        self._next_rid += 1
-        try:
-            if self._fast_sched:
-                decision = self._choose_fast(
-                    model_id, images, sla, arrival, deadline_s
-                )
-            else:
-                decision = self._choose_generic(
-                    rid, model_id, images, sla, arrival, deadline_s, input_digest
-                )
-        except NoActiveNodesError:
-            if NodeState.FAILED not in [node.state for node in self.nodes]:
-                raise
-            self._strand(rid, model_id, images, sla, arrival, deadline_s,
-                         input_digest)
-            return rid
-        node = self._by_id[decision[0]]
-        node.available_s = decision[6]
-        entry = (
-            rid, model_id, images, sla, arrival, deadline_s, input_digest,
-            int(images.shape[0]), decision[6] - decision[5], decision[2],
-        )
-        self._enqueue(node.node_id, entry)
-        if self.retain_results:
-            self._decisions[rid] = decision
-        return rid
-
-    def _strand(self, rid, model_id, images, sla, arrival, deadline, digest):
-        node = min(self.nodes, key=lambda n: n.node_id)
-        decision = (
-            node.node_id, sla, False, False, False, arrival, arrival,
-            0.0, 0.0, 0,
-        )
-        entry = (
-            rid, model_id, images, sla, arrival, deadline, digest,
-            int(images.shape[0]), 0.0, False,
-        )
-        self._enqueue(node.node_id, entry)
-        if self.retain_results:
-            self._decisions[rid] = decision
-        self._stranded.add(node.node_id)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle transitions (park/wake/crash replay)
-    # ------------------------------------------------------------------ #
-    def _rebuild_reservation(self, node_id: str) -> None:
-        available = self._completed[node_id]
-        for entry in self._queues[node_id]:
-            start = max(available, entry[_E_ARRIVAL])
-            available = start + entry[_E_SPAN]
-        self._by_id[node_id].available_s = available
-
-    def _sync_states(self) -> None:
-        woke = False
-        for node in self.nodes:
-            node_id = node.node_id
-            state = node.state
-            if state is self._seen_state[node_id]:
-                continue
-            self._seen_state[node_id] = state
-            obs = getattr(self.router, "_obs", None)
-            if obs is not None:
-                obs.node_transition(node_id, state.name.lower())
-            if state is NodeState.ACTIVE:
-                woke = True
-                self._push_head_candidate(node_id)
-            elif self._queues[node_id]:
-                self._replace_parked_backlog(node_id)
-        if woke:
-            self._retry_stranded()
-
-    def _retry_stranded(self) -> None:
-        for node_id in sorted(self._stranded):
-            if self._by_id[node_id].state is NodeState.ACTIVE:
-                self._stranded.discard(node_id)
-            elif self._queues[node_id]:
-                self._replace_parked_backlog(node_id)
-            else:
-                self._stranded.discard(node_id)
-
-    def _replace_parked_backlog(self, node_id: str) -> None:
-        node = self._by_id[node_id]
-        stranded: List[tuple] = []
-        while self._queues[node_id]:
-            stranded.append(self._dequeue_head(node_id))
-        node.available_s = self._completed[node_id]
-        for index, entry in enumerate(stranded):
-            try:
-                if self._fast_sched:
-                    decision = self._choose_fast(
-                        entry[_E_MODEL], entry[_E_IMAGES], entry[_E_SLA],
-                        entry[_E_ARRIVAL], entry[_E_DEADLINE],
-                    )
-                else:
-                    decision = self._choose_generic(
-                        entry[_E_RID], entry[_E_MODEL], entry[_E_IMAGES],
-                        entry[_E_SLA], entry[_E_ARRIVAL], entry[_E_DEADLINE],
-                        entry[_E_DIGEST],
-                    )
-            except NoActiveNodesError:
-                for item in stranded[index:]:
-                    self._enqueue(node_id, item)
-                self._rebuild_reservation(node_id)
-                self._stranded.add(node_id)
-                return
-            target = self._by_id[decision[0]]
-            target.available_s = decision[6]
-            self._enqueue(
-                target.node_id,
-                entry[:_E_SPAN] + (decision[6] - decision[5], decision[2]),
-            )
-            if self.retain_results:
-                self._decisions[entry[_E_RID]] = decision
-            self._replayed.add(entry[_E_RID])
-            self.replayed_placements += 1
-        self._stranded.discard(node_id)
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-    def _select_head(self) -> Optional[Tuple[str, float]]:
-        heap = self._heap
-        while heap:
-            start, node_id = heapq.heappop(heap)
-            if self._by_id[node_id].state is not NodeState.ACTIVE:
-                continue
-            queue = self._queues[node_id]
-            if not queue:
-                continue
-            actual = max(self._completed[node_id], queue[0][_E_ARRIVAL])
-            if actual != start:
-                heapq.heappush(heap, (actual, node_id))
-                continue
-            return node_id, start
-        return None
-
-    def _gather_group(self, node: ClusterNode, start: float) -> List[tuple]:
-        node_id = node.node_id
-        group = [self._dequeue_head(node_id)]
-        if not self.coalesce:
-            return group
-        head = group[0]
-        budget = node.max_batch_size - head[_E_COUNT]
-        queue = self._queues[node_id]
-        head_tail = head[_E_IMAGES].shape[1:]
-        while queue:
-            candidate = queue[0]
-            if (
-                candidate[_E_MODEL] != head[_E_MODEL]
-                or candidate[_E_ARRIVAL] > start
-                or candidate[_E_COUNT] > budget
-                or candidate[_E_IMAGES].shape[1:] != head_tail
-            ):
-                break
-            budget -= candidate[_E_COUNT]
-            group.append(self._dequeue_head(node_id))
-        return group
-
-    def _fast_ok(self, node: ClusterNode, nc: _NodeCache, model_id: str) -> bool:
-        ok = nc.fast_ok.get(model_id)
-        if ok is None:
-            ok = node.holds_model(model_id)
-            nc.fast_ok[model_id] = ok
-        return ok
-
-    def _build_dsig(
-        self, node: ClusterNode, nc: _NodeCache, model_id: str,
-        shape_tail: tuple, total: int,
-    ) -> _DispatchSig:
-        step = node.max_batch_size
-        slices: List[_SliceSig] = []
-        start = 0
-        while start < total:
-            size = min(step, total - start)
-            skey = (model_id, shape_tail, size)
-            ssig = nc.ssigs.get(skey)
-            if ssig is None:
-                ssig = _SliceSig(node, model_id, shape_tail, size)
-                nc.ssigs[skey] = ssig
-            slices.append(ssig)
-            start += size
-        return _DispatchSig(slices, nc.cycle_time)
-
-    def _dispatch_group(self) -> List[int]:
-        """Run the next dispatch; returns the completed request ids."""
-        while True:
-            self._apply_due_faults()
-            self._sync_states()
-            selected = self._select_head()
-            if selected is not None:
-                break
-            if self._queued and self._advance_to_next_fault():
-                continue
-            return []
-        node_id, start = selected
-        node = self._by_id[node_id]
-        group = self._gather_group(node, start)
-        if node.execution_mode is ExecutionMode.ANALYTIC:
-            nc = self._node_cache(node)
-            if self._fast_ok(node, nc, group[0][_E_MODEL]):
-                return self._dispatch_fast(node, nc, group, start)
-        return self._dispatch_slow(node, group, start)
-
-    def _dispatch_fast(
-        self, node: ClusterNode, nc: _NodeCache, group: List[tuple],
-        start: float,
-    ) -> List[int]:
-        """Warm analytic dispatch: template charges, deferred; memo forward."""
-        node_id = node.node_id
-        model_id = group[0][_E_MODEL]
-        single = len(group) == 1
-        if single:
-            total = group[0][_E_COUNT]
-        else:
-            total = 0
-            for e in group:
-                total += e[_E_COUNT]
-        dkey = (model_id, group[0][_E_IMAGES].shape[1:], total)
-        dsig = nc.dsigs.get(dkey)
-        if dsig is None:
-            dsig = self._build_dsig(node, nc, model_id, dkey[1], total)
-            nc.dsigs[dkey] = dsig
-        buf = self._buffers.get(node_id)
-        if buf is None:
-            buf = _ChargeBuffer(node.engine)
-            self._buffers[node_id] = buf
-        elif not buf.dispatches and buf.engine is not node.engine:
-            buf.engine = node.engine
-            buf.macros_seen.clear()
-        # Charges are buffered *before* the forward (the object path charges
-        # before predicting), so a failing spot check leaves them applied.
-        ordinal = len(buf.dispatches)
-        buf.dispatches.append(dsig.slices)
-        compute_s = dsig.compute_s(node.degrade_factor)
-        try:
-            if single:
-                entry = group[0]
-                images = entry[_E_IMAGES]
-                digest = entry[_E_DIGEST]
-                key = (
-                    (model_id, digest)
-                    if digest is not None
-                    else (model_id, node._content_digest(images))
-                )
-                predictions, spot_checked = node._memo_predict(
-                    model_id, key, lambda: images
-                )
-            else:
-                key = (
-                    model_id,
-                    "group",
-                    tuple(
-                        e[_E_DIGEST]
-                        if e[_E_DIGEST] is not None
-                        else node._content_digest(e[_E_IMAGES])
-                        for e in group
-                    ),
-                )
-                grouped, spot_checked = node._memo_predict(
-                    model_id, key,
-                    lambda: np.concatenate([e[_E_IMAGES] for e in group]),
-                )
-        except Exception as error:
-            for e in group:
-                self._failed[e[_E_RID]] = error
-            self._rebuild_reservation(node_id)
-            self._push_head_candidate(node_id)
-            raise
-        finish = start + compute_s
-        self._completed[node_id] = finish
-        if finish > self.clock:
-            self.clock = finish
-        self._rebuild_reservation(node_id)
-        self._push_head_candidate(node_id)
-
-        coalesced = len(group)
-        telemetry = self.telemetry
-        ntel = node.telemetry
-        retain = self.retain_results
-        replayed_set = self._replayed
-        if not single:
-            buf.any_fraction = True
-        row_app = buf.row_indexes.append
-        ord_app = buf.ordinals.append
-        frac_app = buf.fractions.append
-        rids: List[int] = []
-        offset = 0
-        for e in group:
-            rid = e[_E_RID]
-            count = e[_E_COUNT]
-            if single:
-                fraction = None
-                compute_share = compute_s
-                request_predictions = predictions
-            else:
-                fraction = count / total
-                compute_share = compute_s * fraction
-                request_predictions = grouped[offset : offset + count]
-                offset += count
-            arrival = e[_E_ARRIVAL]
-            deadline = e[_E_DEADLINE]
-            latency = finish - arrival
-            missed = deadline is not None and latency > deadline
-            index = telemetry.record_row(
-                (
-                    rid, model_id, node_id, e[_E_SLA].value, count, arrival,
-                    start, finish, compute_share, deadline, missed, True,
-                    False, e[_E_FEASIBLE], "analytic", coalesced,
-                    spot_checked, rid in replayed_set,
-                ),
-                None,
-            )
-            row_app(index)
-            ord_app(ordinal)
-            frac_app(fraction)
-            # Inlined NodeTelemetry.record (energy deferred to the flush).
-            ntel.dispatches += 1
-            ntel.images += count
-            ntel.busy_s += compute_share
-            if missed:
-                ntel.deadline_misses += 1
-            ntel.affinity_hits += 1
-            sample = compute_share / count
-            if ntel.dispatches == 1:
-                ntel.ewma_image_latency_s = sample
-            else:
-                ntel.ewma_image_latency_s += ntel.ewma_alpha * (
-                    sample - ntel.ewma_image_latency_s
-                )
-            if retain:
-                self._pending_results[rid] = (index, e[_E_SLA], request_predictions)
-            rids.append(rid)
-        self._completed_count += coalesced
-        return rids
-
-    def _dispatch_slow(
-        self, node: ClusterNode, group: List[tuple], start: float
-    ) -> List[int]:
-        """Oracle dispatch: flush the node's deferred charges (so its ledger
-        folds stay in chronological order), then run the real node calls."""
-        node_id = node.node_id
-        self.flush_node(node_id)
-        model_id = group[0][_E_MODEL]
-        try:
-            if len(group) == 1:
-                entry = group[0]
-                dispatch = node.execute(
-                    model_id, entry[_E_IMAGES], input_digest=entry[_E_DIGEST]
-                )
-                predictions = [dispatch.predictions]
-            else:
-                predictions, dispatch = node.execute_group(
-                    model_id,
-                    [(e[_E_IMAGES], e[_E_DIGEST]) for e in group],
-                )
-        except Exception as error:
-            for e in group:
-                self._failed[e[_E_RID]] = error
-            self._rebuild_reservation(node_id)
-            self._push_head_candidate(node_id)
-            raise
-        finish = start + dispatch.compute_s
-        self._completed[node_id] = finish
-        if finish > self.clock:
-            self.clock = finish
-        self._rebuild_reservation(node_id)
-        self._push_head_candidate(node_id)
-
-        total = 0
-        for e in group:
-            total += e[_E_COUNT]
-        coalesced = len(group)
-        telemetry = self.telemetry
-        ntel = node.telemetry
-        retain = self.retain_results
-        rids: List[int] = []
-        for e, request_predictions in zip(group, predictions):
-            rid = e[_E_RID]
-            count = e[_E_COUNT]
-            if coalesced == 1:
-                compute_share = dispatch.compute_s
-                energy_share = dispatch.energy_j
-            else:
-                fraction = count / total
-                compute_share = dispatch.compute_s * fraction
-                energy_share = dispatch.energy_j * fraction
-            arrival = e[_E_ARRIVAL]
-            deadline = e[_E_DEADLINE]
-            latency = finish - arrival
-            missed = deadline is not None and latency > deadline
-            index = telemetry.record_row(
-                (
-                    rid, model_id, node_id, e[_E_SLA].value, count, arrival,
-                    start, finish, compute_share, deadline, missed,
-                    dispatch.affinity_hit, dispatch.programmed,
-                    e[_E_FEASIBLE], dispatch.execution_mode, coalesced,
-                    dispatch.spot_checked, rid in self._replayed,
-                ),
-                energy_share,
-            )
-            ntel.dispatches += 1
-            ntel.images += count
-            ntel.energy_j += energy_share
-            ntel.busy_s += compute_share
-            if missed:
-                ntel.deadline_misses += 1
-            if dispatch.affinity_hit:
-                ntel.affinity_hits += 1
-            if dispatch.programmed:
-                ntel.programmed_dispatches += 1
-            sample = compute_share / count
-            if ntel.dispatches == 1:
-                ntel.ewma_image_latency_s = sample
-            else:
-                ntel.ewma_image_latency_s += ntel.ewma_alpha * (
-                    sample - ntel.ewma_image_latency_s
-                )
-            if retain:
-                self._pending_results[rid] = (index, e[_E_SLA], request_predictions)
-            rids.append(rid)
-        self._completed_count += coalesced
-        return rids
-
-    # ------------------------------------------------------------------ #
-    # Results
-    # ------------------------------------------------------------------ #
-    def _materialize(self, rid: int):
-        result = self._results.get(rid)
-        if result is not None:
-            return result
-        pending = self._pending_results.pop(rid, None)
-        if pending is None:
-            return None
-        index, sla, predictions = pending
-        trace = self.telemetry.traces[index]
-        result = self._result_cls(trace=trace, sla=sla, predictions=predictions)
-        self._results[rid] = result
-        return result
-
-    def dispatch_next(self):
-        if not self.retain_results:
-            raise ConfigurationError(
-                "dispatch_next() needs per-request results; this router was "
-                "built with retain_results=False (use drain() and the "
-                "telemetry aggregates)"
-            )
-        rids = self._dispatch_group()
-        if not rids:
-            return None
-        return self._materialize(rids[0])
-
-    def drain(self) -> List[object]:
-        completed: List[int] = []
-        retain = self.retain_results
-        while True:
-            rids = self._dispatch_group()
-            if not rids:
-                break
-            if retain:
-                completed.extend(rids)
-        if not retain:
-            return []
-        self.flush_all()
-        return [self._materialize(rid) for rid in completed]
-
-    # ------------------------------------------------------------------ #
-    # Batch trace replay (the turbo path)
-    # ------------------------------------------------------------------ #
-    def replay_trace(
-        self, trace, image_pool, drain_every: int = 64, autoscaler=None
-    ) -> Dict[str, float]:
-        """Stream a workload trace through the kernel in arrival order.
-
-        Observable behaviour is identical to
-        :func:`repro.cluster.workload.replay` over this kernel — same
-        round-robin pool slots, same admission order, same drain cadence,
-        same autoscaler observation points — but each ``drain_every`` chunk
-        whose steady-state preconditions hold (stock scheduler, no
-        coalescing, ``retain_results=False``, every chunk model warm and
-        resident on every active node, all pool digests memoised, no fault
-        due inside the chunk's horizon, no autoscaler) runs a specialised
-        batch admission+dispatch loop: array-backed reservation and
-        completion chains, one telemetry append and one memo/ledger
-        write-back per chunk instead of per request.  Chunks that fail a
-        precondition fall back to the per-request submit/drain loop, which
-        *is* the oracle path, so mixing chunks preserves bit-exactness.
-        """
-        import time
-
-        check_positive("drain_every", drain_every)
-        from repro.cluster.workload import SLA_ORDER
-
-        arr = trace.arrivals_s.tolist()
-        cnt = trace.image_counts.tolist()
-        mi = trace.model_indices.tolist()
-        si = trace.sla_indices.tolist()
-        deadlines = trace.deadlines_s
-        dl = [
-            None if nan else value
-            for value, nan in zip(
-                deadlines.tolist(), np.isnan(deadlines).tolist()
-            )
-        ]
-        model_ids = trace.model_ids
-        slot_cursor: Dict[Tuple[str, int], int] = {}
-        requests = len(arr)
-        completed_before = self._completed_count
-        turbo_ok = autoscaler is None
-        start_wall = time.perf_counter()
-        pos = 0
-        while pos < requests:
-            end = pos + drain_every
-            if end > requests:
-                end = requests
-            ctx = (
-                self._turbo_context(arr, cnt, mi, pos, end, model_ids,
-                                    image_pool, slot_cursor)
-                if turbo_ok
-                else None
-            )
-            if ctx is not None:
-                self._turbo_chunk(ctx, arr, si, dl, pos, end, slot_cursor)
-            else:
-                for i in range(pos, end):
-                    model_id = model_ids[mi[i]]
-                    ck = (model_id, cnt[i])
-                    slots = image_pool[ck]
-                    cursor = slot_cursor.get(ck, 0)
-                    digest, images = slots[cursor]
-                    slot_cursor[ck] = (cursor + 1) % len(slots)
-                    self.submit(
-                        model_id,
-                        images,
-                        sla=SLA_ORDER[si[i]],
-                        deadline_s=dl[i],
-                        arrival_s=arr[i],
-                        input_digest=digest,
-                    )
-                if end - pos == drain_every:
-                    # Observe *before* draining, exactly like replay().
-                    if autoscaler is not None:
-                        autoscaler.observe()
-                    self.drain()
-                    telemetry = self.telemetry
-                    if type(telemetry) is ColumnarTelemetry:
-                        telemetry.maybe_fold()
-            pos = end
-        if autoscaler is not None:
-            autoscaler.observe()
-        self.drain()
-        wall_s = time.perf_counter() - start_wall
-        completed = self._completed_count - completed_before
-        images_total = float(trace.total_images)
-        return {
-            "requests": float(requests),
-            "completed": float(completed),
-            "images": images_total,
-            "wall_s": wall_s,
-            "requests_per_s": requests / wall_s if wall_s > 0 else 0.0,
-            "images_per_s": images_total / wall_s if wall_s > 0 else 0.0,
-        }
-
-    def _turbo_node_entry(self, node, nc, model_id, count, slots):
-        """Admission/dispatch constants of one (node, model, count), or
-        ``False`` when that combination cannot take the turbo path (not
-        resident, not warm, or pool slots the generic path must validate).
-        Cached on the node cache: any retune/programming rebuilds it."""
-        shape = slots[0][1].shape
-        for digest, images in slots:
-            if (
-                digest is None
-                or images.ndim != 4
-                or images.shape != shape
-                or images.dtype != np.float64
-            ):
-                return False
-        if shape[0] != count or count == 0:
-            return False
-        if not self._fast_ok(node, nc, model_id):
-            return False
-        ekey = (model_id, shape)
-        est = nc.estimates.get(ekey)
-        if est is None:
-            est = node.estimate_request(model_id, slots[0][1])
-            nc.estimates[ekey] = est
-        if not est.resident:
-            return False
-        dkey = (model_id, shape[1:], count)
-        dsig = nc.dsigs.get(dkey)
-        if dsig is None:
-            dsig = self._build_dsig(node, nc, model_id, dkey[1], count)
-            nc.dsigs[dkey] = dsig
-        return (
-            est.latency_s,
-            est.energy_j,
-            est.energy_per_image_j,
-            dsig.compute_s(node.degrade_factor),
-            dsig.slices,
-            dsig.batches,
-        )
-
-    def _turbo_context(
-        self, arr, cnt, mi, pos, end, model_ids, image_pool, slot_cursor
-    ):
-        """Validate one chunk's turbo preconditions; returns the prepared
-        per-chunk context, or ``None`` to take the oracle path."""
-        if (
-            self.retain_results
-            or not self._fast_sched
-            or self.coalesce
-            or self.scheduler.coalesce_affinity
-            or type(self.telemetry) is not ColumnarTelemetry
-        ):
-            return None
-        if self._stranded or self._queued or arr[pos] < 0:
-            return None
-        self._sync_states()
-        if self._queued:
-            return None
-        active = [n for n in self.nodes if n.state is NodeState.ACTIVE]
-        if not active:
-            return None
-        ncs = []
-        for node in active:
-            if node.execution_mode is not ExecutionMode.ANALYTIC:
-                return None
-            ncs.append(self._node_cache(node))
-        hw = self.scheduler.hazard_weight
-        risk = [1.0 + hw * nc.hazard for nc in ncs]
-        hazard = [nc.hazard for nc in ncs]
-        node_ids = [n.node_id for n in active]
-        combos: Dict[tuple, list] = {}
-        for i in range(pos, end):
-            combos.setdefault((mi[i], cnt[i]), None)
-        max_step = 0.0
-        key_table: List[tuple] = []
-        for mindex, count in combos:
-            model_id = model_ids[mindex]
-            ck = (model_id, count)
-            slots = image_pool.get(ck)
-            if slots is None:
-                return None
-            lat, energy, tkey0 = [], [], []
-            compute, slices, batches = [], [], []
-            for j, node in enumerate(active):
-                nc = ncs[j]
-                ent = nc.turbo.get(ck)
-                if ent is None:
-                    ent = self._turbo_node_entry(node, nc, model_id, count,
-                                                 slots)
-                    nc.turbo[ck] = ent
-                if ent is False:
-                    return None
-                lat.append(ent[0])
-                energy.append(ent[1])
-                tkey0.append(ent[2] * risk[j])
-                compute.append(ent[3])
-                slices.append(ent[4])
-                batches.append(ent[5])
-                if ent[0] > max_step:
-                    max_step = ent[0]
-                if ent[3] > max_step:
-                    max_step = ent[3]
-            keys = [(model_id, digest) for digest, _ in slots]
-            for node in active:
-                entries = node.forward_memo._entries
-                for key in keys:
-                    if key not in entries:
-                        return None
-            # A strictly unique minimum of the primary throughput key picks
-            # the same node regardless of finish-time tie-breaks.
-            low = min(tkey0)
-            static_t = -1
-            if sum(1 for v in tkey0 if v == low) == 1:
-                static_t = tkey0.index(low)
-            key_base = len(key_table)
-            key_table.extend(keys)
-            combos[(mindex, count)] = [
-                model_id, ck, lat, energy, tkey0, static_t, compute,
-                slices, batches, keys, slots, len(slots),
-                slot_cursor.get(ck, 0), key_base, count,
-            ]
-        if self._fault_cursor < len(self._fault_events):
-            # Conservative horizon: the chunk's virtual time cannot pass
-            # base + chunk_len * max_step, so a fault strictly beyond it
-            # can never become due inside the chunk (on either path).
-            base = arr[end - 1]
-            if self.clock > base:
-                base = self.clock
-            for value in self._completed.values():
-                if value > base:
-                    base = value
-            bound = base + (end - pos) * max_step
-            if self._fault_events[self._fault_cursor].at_s <= bound:
-                return None
-        # One combo reference per request: an int-keyed lookup when the
-        # chunk is single-model (the common replay shape), the full
-        # (model, count) key otherwise.
-        if len({key[0] for key in combos}) == 1:
-            by_count = {key[1]: value for key, value in combos.items()}
-            creq = [by_count[c] for c in cnt[pos:end]]
-        else:
-            creq = [combos[(m, c)] for m, c in zip(mi[pos:end], cnt[pos:end])]
-        return (active, node_ids, combos, creq, risk, hazard, key_table)
-
-    def _turbo_chunk(self, ctx, arr, si, dl, pos, end, slot_cursor):
-        """One chunk of batch admission + per-node dispatch passes.
-
-        Replicates `_choose_fast` -> `_enqueue` -> `_select_head` ->
-        `_dispatch_fast` value- and order-identically for the steady state
-        the context validated.  Admission walks the chunk once with the
-        same ranking keys, float op order and first-minimum tie-breaks as
-        `_choose_fast`.  Dispatch then runs one tight FIFO pass per node —
-        each node's start/finish chain depends only on its own queue, not
-        on the cross-node interleave — and recovers the heap's exact
-        merged order, min ``(max(completed, arrival), node_id)``, with a
-        stable lexsort over the per-node start times.  Telemetry rows,
-        charge-buffer events, memo counters/LRU order and node aggregates
-        are written back once per chunk.
-        """
-        active, node_ids, combos, creq, risk, hazard, key_table = ctx
-        nn = len(active)
-        avail = [node.available_s for node in active]
-        completed = self._completed
-        comp = [completed[nid] for nid in node_ids]
-        pend: List[list] = [[] for _ in range(nn)]
-        appends = [p.append for p in pend]
-        rid = self._next_rid
-        bk0 = bk1 = bk2 = bfin = None
-        # --- admission: _choose_fast over the chunk's table constants --- #
-        for a, s, d, combo in zip(arr[pos:end], si[pos:end], dl[pos:end],
-                                  creq):
-            if s == 1:  # THROUGHPUT
-                sj = combo[5]
-                if sj >= 0:
-                    bj = sj
-                    av = avail[bj]
-                    bfin = (av if av > a else a) + combo[2][bj]
-                else:
-                    lat = combo[2]
-                    tkey0 = combo[4]
-                    bj = -1
-                    for j in range(nn):
-                        k0 = tkey0[j]
-                        av = avail[j]
-                        fin_j = (av if av > a else a) + lat[j]
-                        if bj < 0 or k0 < bk0:
-                            take = True
-                        elif k0 == bk0:
-                            take = fin_j < bk1 or (
-                                fin_j == bk1 and node_ids[j] < bk2
-                            )
-                        else:
-                            take = False
-                        if take:
-                            bj, bk0, bk1, bk2 = j, k0, fin_j, node_ids[j]
-                            bfin = fin_j
-                feas = True
-            elif s == 0:  # LATENCY
-                if d is None or d <= 0:
-                    raise ConfigurationError(
-                        "latency-class requests need a positive deadline_s"
-                    )
-                lat = combo[2]
-                any_f = False
-                bj = -1
-                for j in range(nn):
-                    av = avail[j]
-                    fin_j = (av if av > a else a) + lat[j]
-                    lat_j = fin_j - a
-                    feasible = lat_j <= d
-                    if feasible and not any_f:
-                        any_f = True
-                        bj = -1
-                    if any_f and not feasible:
-                        continue
-                    k0 = lat_j * risk[j]
-                    if bj < 0 or k0 < bk0:
-                        take = True
-                    elif k0 == bk0:
-                        e_j = combo[3][j]
-                        take = e_j < bk1 or (
-                            e_j == bk1 and node_ids[j] < bk2
-                        )
-                    else:
-                        take = False
-                    if take:
-                        bj, bk0, bk1, bk2 = j, k0, combo[3][j], node_ids[j]
-                        bfin = fin_j
-                feas = any_f
-            else:  # BEST_EFFORT
-                lat = combo[2]
-                bj = -1
-                for j in range(nn):
-                    av = avail[j]
-                    st = av if av > a else a
-                    k0 = (st - a) * risk[j]
-                    if bj < 0 or k0 < bk0:
-                        take = True
-                    elif k0 == bk0:
-                        h_j = hazard[j]
-                        take = h_j < bk1 or (
-                            h_j == bk1 and node_ids[j] < bk2
-                        )
-                    else:
-                        take = False
-                    if take:
-                        bj, bk0, bk1, bk2 = j, k0, hazard[j], node_ids[j]
-                        bfin = st + lat[j]
-                feas = True
-            avail[bj] = bfin
-            cur = combo[12]
-            combo[12] = 0 if cur + 1 == combo[11] else cur + 1
-            appends[bj]((rid, a, d, feas, s, cur, combo))
-            rid += 1
-        for combo in combos.values():
-            slot_cursor[combo[1]] = combo[12]
-        # --- dispatch: one FIFO pass per node --------------------------- #
-        telemetry = self.telemetry
-        buffers = self._buffers
-        n = end - pos
-        sla_values = _SLA_VALUES
-        mxfin = self.clock
-        rank = sorted(range(nn), key=node_ids.__getitem__)
-        order_of = [0] * nn
-        for r, j in enumerate(rank):
-            order_of[j] = r
-        st_arr = np.empty(n)
-        rk_arr = np.empty(n, dtype=np.intp)
-        rows_cat: List[tuple] = []
-        ids_cat: List[int] = []
-        offsets = [0] * nn
-        ord0s = [0] * nn
-        filled = 0
-        for j in range(nn):
-            pj = pend[j]
-            offsets[j] = filled
-            if not pj:
-                continue  # untouched node: leave its reservation alone
-            node = active[j]
-            buf = buffers.get(node.node_id)
-            if buf is None:
-                buf = _ChargeBuffer(node.engine)
-                buffers[node.node_id] = buf
-            elif not buf.dispatches and buf.engine is not node.engine:
-                buf.engine = node.engine
-                buf.macros_seen.clear()
-            ord0s[j] = len(buf.dispatches)
-            dapp = buf.dispatches.append
-            ntel = node.telemetry
-            comp_j = comp[j]
-            busy_j = ntel.busy_s
-            ewma_j = ntel.ewma_image_latency_s
-            alpha_j = ntel.ewma_alpha
-            first = ntel.dispatches == 0
-            imgs_j = 0
-            miss_j = 0
-            sce_j = node.spot_check_every
-            hs_j = node._memo_hits_since_check
-            spots_j = 0
-            memo = node.forward_memo
-            nid = node_ids[j]
-            sts_j: List[float] = []
-            sapp = sts_j.append
-            rapp = rows_cat.append
-            iapp = ids_cat.append
-            for e_rid, a, d, feas, s, slot, combo in pj:
-                st = comp_j if comp_j > a else a
-                compute_s = combo[6][j]
-                fin = st + compute_s
-                comp_j = fin
-                dapp(combo[7][j])
-                iapp(combo[13] + slot)
-                spot = False
-                if sce_j:
-                    hs_j += 1
-                    if hs_j >= sce_j:
-                        hs_j = 0
-                        spots_j += 1
-                        key = combo[9][slot]
-                        fresh = node._plain_forward(
-                            combo[0], combo[10][slot][1]
-                        )
-                        if not np.array_equal(fresh, memo._entries[key]):
-                            raise ConfigurationError(
-                                f"analytic spot check failed on node "
-                                f"{node.node_id!r} for model {combo[0]!r}: "
-                                "memoised predictions diverge from a fresh "
-                                "forward (input digests must uniquely "
-                                "identify request images)"
-                            )
-                        spot = True
-                count = combo[14]
-                missed = d is not None and (fin - a) > d
-                if missed:
-                    miss_j += 1
-                rapp((
-                    e_rid, combo[0], nid, sla_values[s], count, a, st,
-                    fin, compute_s, d, missed, True, False, feas,
-                    "analytic", 1, spot, False,
-                ))
-                sapp(st)
-                imgs_j += count
-                busy_j += compute_s
-                sample = compute_s / count
-                if first:
-                    ewma_j = sample
-                    first = False
-                else:
-                    ewma_j = ewma_j + alpha_j * (sample - ewma_j)
-            k = len(pj)
-            st_arr[filled:filled + k] = sts_j
-            rk_arr[filled:filled + k] = order_of[j]
-            filled += k
-            comp[j] = comp_j
-            if comp_j > mxfin:
-                mxfin = comp_j
-            node.available_s = comp_j
-            completed[nid] = comp_j
-            ntel.dispatches += k
-            ntel.images += imgs_j
-            ntel.busy_s = busy_j
-            ntel.deadline_misses += miss_j
-            ntel.affinity_hits += k
-            ntel.ewma_image_latency_s = ewma_j
-            node._memo_hits_since_check = hs_j
-            node.spot_checks += spots_j
-        # --- merged order + chunk-boundary write-backs ------------------ #
-        # Stable sort by (start, node rank) == the heap's pick order:
-        # per-node starts are nondecreasing, so this *is* the k-way merge.
-        order = np.lexsort((rk_arr, st_arr))
-        rows = [rows_cat[k] for k in order.tolist()]
-        base = telemetry.record_rows_batch(rows)
-        inv = np.empty(n, dtype=np.intp)
-        inv[order] = np.arange(n, dtype=np.intp)
-        for j in range(nn):
-            pj = pend[j]
-            if not pj:
-                continue
-            ofs = offsets[j]
-            k = len(pj)
-            buf2 = buffers[node_ids[j]]
-            buf2.row_indexes.extend((inv[ofs:ofs + k] + base).tolist())
-            buf2.ordinals.extend(range(ord0s[j], ord0s[j] + k))
-            buf2.fractions.extend(repeat(None, k))
-        # Memo hit counters and LRU order: one pass per distinct memo,
-        # touching each *key* once (in last-touch order) instead of once
-        # per dispatch.
-        groups: Dict[int, list] = {}
-        for j in range(nn):
-            if pend[j]:
-                groups.setdefault(
-                    id(active[j].forward_memo), []
-                ).append(j)
-        ids_arr = np.asarray(ids_cat, dtype=np.intp)
-        for members in groups.values():
-            memo = active[members[0]].forward_memo
-            memo.hits += sum(len(pend[j]) for j in members)
-            last = np.full(len(key_table), -1, dtype=np.intp)
-            if len(members) == 1:
-                j = members[0]
-                ofs = offsets[j]
-                sl = slice(ofs, ofs + len(pend[j]))
-                # Within one node positions are already ascending, so the
-                # final assignment per key id is its last touch.
-                last[ids_arr[sl]] = inv[sl]
-            else:
-                ids_g = np.concatenate(
-                    [ids_arr[offsets[j]:offsets[j] + len(pend[j])]
-                     for j in members]
-                )
-                pos_g = np.concatenate(
-                    [inv[offsets[j]:offsets[j] + len(pend[j])]
-                     for j in members]
-                )
-                srt = np.argsort(pos_g, kind="stable")
-                last[ids_g[srt]] = pos_g[srt]
-            touched = np.nonzero(last >= 0)[0]
-            move = memo._entries.move_to_end
-            ordered = touched[np.argsort(last[touched], kind="stable")]
-            for kid in ordered.tolist():
-                move(key_table[kid])
-        last_arrival = arr[end - 1]
-        self.clock = mxfin if mxfin > last_arrival else last_arrival
-        self._completed_count += n
-        self._next_rid = rid
-        telemetry.maybe_fold()
-
-    def result(self, request_id: int):
-        if request_id in self._failed:
-            raise self._failed[request_id]
-        if not self.retain_results:
-            raise ConfigurationError(
-                "results are not retained (retain_results=False)"
-            )
-        result = self._materialize(request_id)
-        if result is None:
-            raise ConfigurationError(
-                f"request {request_id} is not complete; call drain()"
-            )
-        return result
-
-    def decision(self, request_id: int) -> PlacementDecision:
-        if not self.retain_results:
-            raise ConfigurationError(
-                "decision() needs per-request placements; this router was "
-                "built with retain_results=False (use the telemetry "
-                "aggregates)"
-            )
-        d = self._decisions.get(request_id)
-        if d is None:
-            raise ConfigurationError(f"unknown request {request_id}")
-        return PlacementDecision(
-            request_id=request_id,
-            node_id=d[0],
-            sla=d[1],
-            feasible=d[2],
-            affinity_hit=d[3],
-            replicated=d[4],
-            est_start_s=d[5],
-            est_finish_s=d[6],
-            est_latency_s=d[7],
-            est_energy_per_image_j=d[8],
-            candidates=d[9],
-        )
-
-    # ------------------------------------------------------------------ #
-    # Counters
-    # ------------------------------------------------------------------ #
-    @property
-    def completed_requests(self) -> int:
-        return self._completed_count
-
-    @property
-    def failed_requests(self) -> int:
-        return len(self._failed)
-
-    @property
-    def replayed_requests(self) -> int:
-        return len(self._replayed)
-
-    def shutdown(self) -> None:
-        self.flush_all()
-        for node in self.nodes:
-            node.shutdown()

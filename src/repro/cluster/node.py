@@ -359,8 +359,8 @@ class ClusterNode:
         #: Ledgers of chips retired by :meth:`retune`.
         self._retired = MacroStatistics()
         #: Called (no args) just before the chip/engine are torn down and
-        #: rebuilt (retune).  The columnar kernel registers a flush here so
-        #: its deferred charges land on the engine they were priced against.
+        #: rebuilt (retune).  The router registers a flush here so its
+        #: deferred charges land on the engine they were priced against.
         self._pre_mutate_hooks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------ #
@@ -639,8 +639,6 @@ class ClusterNode:
         model_id: str,
         images: np.ndarray,
         input_digest: Optional[str] = None,
-        *,
-        span_attrs: Optional[Dict[str, object]] = None,
     ) -> NodeDispatch:
         """Run one request through the node's serving path.
 
@@ -653,11 +651,6 @@ class ClusterNode:
                 instead of hashing the image bytes.  Two requests may
                 share a digest only if their images are identical — the
                 sampled spot checks guard the contract.
-            span_attrs: Optional dict a tracing caller passes for the
-                node to fill with engine-level charge detail (execution
-                mode, whether weights were programmed, batch count); the
-                router attaches it to the request's sampled span tree.
-                ``None`` (the default, and every hot path) costs nothing.
 
         Returns:
             The :class:`NodeDispatch` with the *measured* modeled compute
@@ -675,17 +668,8 @@ class ClusterNode:
                 "to rotation (wake/recover) before dispatching"
             )
         if self.execution_mode is ExecutionMode.ANALYTIC:
-            dispatch = self._execute_analytic(model_id, images, input_digest)
-        else:
-            dispatch = self._execute_exact(model_id, images)
-        if span_attrs is not None:
-            span_attrs.update(
-                execution_mode=dispatch.execution_mode,
-                programmed=dispatch.programmed,
-                batches=dispatch.batches,
-                node_vdd=self.vdd,
-            )
-        return dispatch
+            return self._execute_analytic(model_id, images, input_digest)
+        return self._execute_exact(model_id, images)
 
     def _execute_exact(self, model_id: str, images: np.ndarray) -> NodeDispatch:
         """The full numpy forward pass through the node's inference server."""

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.node import ClusterNode, NodeState, RequestEstimate
-from repro.cluster.telemetry import ClusterTelemetry
+from repro.cluster.telemetry import ColumnarTelemetry
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -153,8 +153,8 @@ class SLAScheduler:
         counters (see ``docs/OBSERVABILITY.md``).  Per-placement series
         deliberately live on the fold side
         (``cluster_requests_total{sla, node}``) rather than here: the
-        columnar kernel inlines :meth:`choose`, so scheduler-side
-        counters would undercount on the fast path.
+        router ranks a stock scheduler's candidates inline, without calling
+        :meth:`choose`, so scheduler-side counters would undercount.
         """
         return {
             "hot_threshold": float(self.hot_threshold),
@@ -183,7 +183,7 @@ class SLAScheduler:
             )
         return scored
 
-    def is_hot(self, model_id: str, telemetry: ClusterTelemetry) -> bool:
+    def is_hot(self, model_id: str, telemetry: ColumnarTelemetry) -> bool:
         """Whether a model's recent traffic justifies replication."""
         return telemetry.recent_model_dispatches(model_id) >= self.hot_threshold
 
@@ -231,7 +231,7 @@ class SLAScheduler:
         self,
         request: ClusterRequest,
         nodes: Sequence[ClusterNode],
-        telemetry: ClusterTelemetry,
+        telemetry: ColumnarTelemetry,
         pending: Optional[frozenset] = None,
     ) -> PlacementDecision:
         """Pick a node for one request; never refuses (worst case: best effort

@@ -298,20 +298,19 @@ class FleetCluster:
                 handle.outbox.append(message)
 
     # ------------------------------------------------------------------ #
-    # Dispatch shipping (called from FleetRouter._dispatch_group)
+    # Dispatch shipping (called from FleetRouter._dispatch_direct)
     # ------------------------------------------------------------------ #
     def _queue_retune(self, node_id: str, vdd: float) -> None:
         handle = self._handles[self._rank_of[node_id]]
         if handle.alive:
             handle.outbox.append(Retune(node_id, vdd))
 
-    def _on_group_dispatched(self, results) -> None:
-        node_id = results[0].node_id
+    def _on_group_dispatched(self, node_id: str, request_ids: List[int]) -> None:
         shadow = self._shadow_by_id[node_id]
         pending = shadow.take_pending()
         if pending is None:  # pragma: no cover - defensive
             return
-        request_ids = tuple(result.request_id for result in results)
+        request_ids = tuple(request_ids)
         refs: List[TensorRef] = []
         digests: List[Optional[str]] = []
         for images, digest in pending.parts:

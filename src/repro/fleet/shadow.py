@@ -22,7 +22,7 @@ already-returned :class:`~repro.cluster.router.ClusterResult` sees them).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,11 +69,14 @@ class ShadowNode(ClusterNode):
     pricing, residency, batching and ledger behaviour match exactly.
     ``execute``/``execute_group`` report ``execution_mode="exact"``
     because that is what the paired worker runs — the shadow is an
-    accounting proxy for it, not an analytic-mode node.
+    accounting proxy for it, not an analytic-mode node.  Its own mode is
+    EXACT for the same reason, so the router charges every shadow dispatch
+    directly and never takes the memoised analytic fast path.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.execution_mode = ExecutionMode.EXACT
         #: Coordinator callback ``(node_id, vdd)`` fired after a retune,
         #: so the worker replica mirrors the rail change in sequence.
         self.retune_hook = None
@@ -118,8 +121,6 @@ class ShadowNode(ClusterNode):
         model_id: str,
         images: np.ndarray,
         input_digest: Optional[str] = None,
-        *,
-        span_attrs: Optional[Dict[str, object]] = None,
     ) -> NodeDispatch:
         """Charge one request's accounting; predictions stay sentinel-filled."""
         self._require_active()
@@ -133,7 +134,7 @@ class ShadowNode(ClusterNode):
         self._pending = PendingGroup(
             model_id, [(images, input_digest)], [placeholder]
         )
-        dispatch = NodeDispatch(
+        return NodeDispatch(
             predictions=placeholder,
             compute_s=compute,
             energy_j=energy,
@@ -143,14 +144,6 @@ class ShadowNode(ClusterNode):
             critical_path_cycles=critical,
             execution_mode=ExecutionMode.EXACT.value,
         )
-        if span_attrs is not None:
-            span_attrs.update(
-                execution_mode=dispatch.execution_mode,
-                programmed=dispatch.programmed,
-                batches=dispatch.batches,
-                node_vdd=self.vdd,
-            )
-        return dispatch
 
     def execute_group(
         self,
@@ -193,13 +186,13 @@ class ShadowNode(ClusterNode):
 
 
 class FleetRouter(ClusterRouter):
-    """The unmodified router loop with one seam: completed groups ship out.
+    """The unmodified router core with one seam: completed groups ship out.
 
-    ``_dispatch_group`` is the single completion funnel of the object
-    kernel (both :meth:`dispatch_next` and :meth:`drain` pass through
-    it), so post-processing it is the whole integration: after the
-    superclass charged the shadow and recorded traces/results, the
-    coordinator collects the shadow's pending group and enqueues the
+    Shadows are EXACT-mode nodes, so every dispatch the core runs on them
+    — from :meth:`dispatch_next`, :meth:`drain` or a replay — funnels
+    through the direct-charge dispatch.  Extending it is the whole
+    integration: after the core charged the shadow and recorded the rows,
+    the coordinator collects the shadow's pending group and enqueues the
     dispatch message toward the owning worker.
     """
 
@@ -207,11 +200,10 @@ class FleetRouter(ClusterRouter):
         super().__init__(nodes, **kwargs)
         self._coordinator = coordinator
 
-    def _dispatch_group(self):
-        results = super()._dispatch_group()
-        if results:
-            self._coordinator._on_group_dispatched(results)
-        return results
+    def _dispatch_direct(self, node, group, start) -> List[int]:
+        rids = super()._dispatch_direct(node, group, start)
+        self._coordinator._on_group_dispatched(node.node_id, rids)
+        return rids
 
 
 def shadows_from_specs(specs: Sequence[NodeSpec]) -> List[ShadowNode]:

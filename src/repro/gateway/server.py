@@ -242,7 +242,7 @@ class GatewayServer:
         if getattr(router, "_obs", None) is None:
             from repro.cluster.instrumentation import attach_cluster_observability
 
-            attach_cluster_observability(router, self.metrics, tracer=self.tracer)
+            attach_cluster_observability(router, self.metrics)
         if getattr(router, "tracer", None) is None:
             router.tracer = self.tracer
         #: The wire counters: plain ints, published at scrape time by _collect.
@@ -771,11 +771,11 @@ class GatewayServer:
             self._pending.append(
                 _Pending(connection, parsed["id"], router_id, parsed)
             )
-        self._drain_router()
+        stranded = self._drain_router()
         pending, self._pending = self._pending, []
         touched = []
         for entry in pending:
-            if self._respond_nodrain(entry) and entry.connection not in touched:
+            if self._respond_nodrain(entry, stranded) and entry.connection not in touched:
                 touched.append(entry.connection)
         # One flow-control flush per connection per batch (not per frame):
         # a slow reader still throttles its own stream here, but a healthy
@@ -790,19 +790,29 @@ class GatewayServer:
             per_request = span / len(pending)
             self._service_time_ema_s += 0.2 * (per_request - self._service_time_ema_s)
 
-    def _drain_router(self) -> None:
+    def _drain_router(self) -> bool:
         """Drain the router's backlog, tolerating per-dispatch failures.
 
         A dispatch that raises marks its requests failed (the router's
-        contract) and leaves the rest queued; looping until the queue is
-        empty guarantees every admitted request reaches a terminal state,
-        which :meth:`_respond` then reports as RESPONSE or ERROR.
+        contract) and leaves the rest queued, so the drain is retried while
+        each pass completes or fails something.  A pass that does neither
+        means the backlog is stranded — every node has failed and no
+        recovery is scheduled (e.g. every fleet worker died) — and
+        retrying would spin forever with the event loop blocked.
+
+        Returns:
+            True when requests are left stranded in the router's queue.
         """
-        while self.router.queue_depth():
+        router = self.router
+        while router.queue_depth():
+            settled = router.completed_requests + router.failed_requests
             try:
-                self.router.drain()
+                router.drain()
             except Exception:  # noqa: BLE001 - re-raised per request by result()
-                continue
+                pass
+            if router.completed_requests + router.failed_requests == settled:
+                return True
+        return False
 
     def _write_nodrain(self, connection: _Connection, frame: bytes) -> bool:
         """Buffer one frame on a connection without awaiting flow control.
@@ -820,8 +830,14 @@ class GatewayServer:
         except (ConnectionError, RuntimeError):
             return False
 
-    def _respond_nodrain(self, entry: _Pending) -> bool:
+    def _respond_nodrain(self, entry: _Pending, stranded: bool) -> bool:
         """Stage the terminal frame (RESPONSE or ERROR) of one admission.
+
+        Args:
+            entry: The admitted request.
+            stranded: The drain left requests queued with no node able to
+                run them; an incomplete request is one of those and is
+                answered ``execution_failed``.
 
         Returns:
             True when bytes were staged on a live connection (the caller
@@ -830,13 +846,15 @@ class GatewayServer:
         try:
             result = self.router.result(entry.router_id)
         except ConfigurationError as error:
+            # Still queued after a stalled drain: no node can run it.
+            code = "execution_failed" if stranded else "internal"
             self.stats["errors_sent"] += 1
             self._journal_done(entry.parsed, "error")
             return self._write_nodrain(
                 entry.connection,
                 encode_frame(
                     FrameType.ERROR,
-                    {"id": entry.wire_id, "code": "internal", "message": str(error)},
+                    {"id": entry.wire_id, "code": code, "message": str(error)},
                 ),
             )
         except Exception as error:  # noqa: BLE001 - the dispatch failure, per contract

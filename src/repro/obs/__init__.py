@@ -1,8 +1,8 @@
 """Unified observability: metrics registry, tracing, exposition.
 
 ``repro.obs`` is the one measurement vocabulary shared by every layer of
-the stack — the chip/engine ledgers, the cluster router and its columnar
-kernel, the autoscaler, and the TCP gateway:
+the stack — the chip/engine ledgers, the cluster router, the autoscaler,
+and the TCP gateway:
 
 * :mod:`repro.obs.registry` — a process-local :class:`MetricsRegistry`
   holding counters, gauges and log-bucketed streaming histograms.  Every

@@ -7,7 +7,7 @@ Design constraints, in order:
   HDR-histogram-style geometric grid with ~9% relative bucket width at
   the default 8 buckets per octave.  Hot paths additionally get
   vectorised batch entry points (:meth:`Histogram.record_many`,
-  :meth:`Counter.inc` with an amount) so the columnar kernel folds a
+  :meth:`Counter.inc` with an amount) so the cluster router folds a
   whole dispatch chunk per call.
 * **Mergeable.**  Two histograms with the same grid merge by adding
   sparse bucket counts — associative and commutative, so multi-process
@@ -195,7 +195,7 @@ class Histogram(_Sample):
     def record_many(self, values) -> None:
         """Fold a batch of samples in one vectorised pass.
 
-        The kernel's chunk-boundary entry point: bucket indexes and
+        The cluster fold's entry point: bucket indexes and
         their multiplicities come from ``np.unique`` over the whole
         chunk, so the per-sample Python cost is zero.
 

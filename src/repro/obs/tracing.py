@@ -17,9 +17,9 @@ Both kinds carry dual timestamps, like every metric sample.
 
 Sampling is **deterministic**: a request is traced iff
 ``request_id % sample_every == 0`` (default 1/1024 in hot paths).  The
-same arithmetic runs identically in the object router, the columnar
-kernel and the gateway, so instrumented replays stay bit-reproducible —
-the property ``benchmarks/bench_obs_overhead.py`` gates.
+same arithmetic runs identically in the cluster router and the gateway,
+so instrumented replays stay bit-reproducible — the property
+``benchmarks/bench_obs_overhead.py`` gates.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class Tracer:
         return span
 
     # -------------------------------------------------------------- #
-    # Retroactive modeled-time spans (router / kernel)
+    # Retroactive modeled-time spans (cluster router)
     # -------------------------------------------------------------- #
     def emit(
         self,
@@ -184,8 +184,7 @@ class Tracer:
 
         ``admission → schedule → dispatch → engine.charge``, rooted at
         the request's arrival.  Returns the root span id (threaded into
-        :class:`~repro.cluster.telemetry.RequestTrace` and the columnar
-        telemetry's span column).
+        the request's :class:`~repro.cluster.telemetry.RequestTrace`).
 
         The taxonomy (see ``docs/OBSERVABILITY.md``): *admission* covers
         arrival to dispatch start (the queue), *schedule* is the

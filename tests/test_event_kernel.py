@@ -1,10 +1,11 @@
-"""Differential-oracle suite: the columnar event kernel vs the object router.
+"""Differential-oracle suite: the router core vs the frozen object router.
 
-The columnar :class:`repro.cluster.EventKernel` re-implements the router's
-discrete-event simulation over columnar ledgers; the object router is the
-oracle.  Every test here replays one randomized workload through both
-kernels — same nodes, same scheduler, same fault plan, same drain cadence
-— and requires the *entire* observable state to match bit for bit:
+:class:`repro.cluster.ClusterRouter` runs the discrete-event simulation over
+columnar ledgers, deferred charges and turbo batch chunks; the per-request
+object router frozen in ``tests/oracle/`` is the oracle.  Every test here
+replays one randomized workload through both — same nodes, same
+scheduler, same fault plan, same drain cadence — and requires the
+*entire* observable state to match bit for bit:
 
 * the merged cluster ledger and every per-node ledger,
 * the per-request trace rows (ids, placements, virtual times, energies,
@@ -26,7 +27,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from oracle import ObjectRouter
 
 from repro.cluster import (
     ClusterNode,
@@ -35,6 +37,7 @@ from repro.cluster import (
     ExecutionMode,
     ForwardMemo,
     RequestTrace,
+    SLAClass,
     SLAScheduler,
     build_image_pool,
     burst_trace,
@@ -42,6 +45,7 @@ from repro.cluster import (
     poisson_trace,
 )
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
+from repro.obs import MetricsRegistry, Tracer
 from repro.reliability import ChipBinner, FaultEvent, FaultKind, FaultPlan
 from repro.utils.validation import check_ledger_conservation
 
@@ -117,9 +121,10 @@ def _fault_plan(fault: str, span_s: float) -> FaultPlan:
     ])
 
 
-def _run(cnn, pool, trace, kernel, *, mode, vdds, binned, coalesce, fault,
+def _run(cnn, pool, trace, side, *, mode, vdds, binned, coalesce, fault,
          drain_every, spot_check_every=0, aggregates_only=False, warm=False):
-    """One replay; returns every observable the oracle comparison pins."""
+    """One replay on ``side`` ("oracle" or "core"); returns every observable
+    the oracle comparison pins."""
     memo = ForwardMemo()
     nodes = [
         ClusterNode(
@@ -135,17 +140,18 @@ def _run(cnn, pool, trace, kernel, *, mode, vdds, binned, coalesce, fault,
         for index, vdd in enumerate(vdds)
     ]
     plan = _fault_plan(fault, trace.duration_s)
-    router = ClusterRouter(
-        nodes,
+    common = dict(
         scheduler=SLAScheduler(coalesce_affinity=coalesce),
         coalesce=coalesce,
         fault_plan=plan,
-        kernel=kernel,
-        telemetry=(
-            ColumnarTelemetry() if kernel == "columnar" else None
-        ),
-        retain_results=not aggregates_only,
     )
+    if side == "oracle":
+        router = ObjectRouter(nodes, **common)
+    else:
+        router = ClusterRouter(
+            nodes, telemetry=ColumnarTelemetry(),
+            retain_results=not aggregates_only, **common,
+        )
     router.register_model("cnn", cnn)
     try:
         if warm:
@@ -194,16 +200,16 @@ def _run(cnn, pool, trace, kernel, *, mode, vdds, binned, coalesce, fault,
     return observed
 
 
-def _assert_identical(reference, columnar):
+def _assert_identical(reference, core):
     """Every observable matches, reported field-by-field on divergence."""
-    assert set(reference) == set(columnar)
+    assert set(reference) == set(core)
     for key, value in reference.items():
         if key == "rows":
-            assert len(columnar[key]) == len(value)
-            for got, want in zip(columnar[key], value):
+            assert len(core[key]) == len(value)
+            for got, want in zip(core[key], value):
                 assert got == want
         else:
-            assert columnar[key] == value, f"diverged on {key}"
+            assert core[key] == value, f"diverged on {key}"
 
 
 sla_mixes = st.sampled_from([
@@ -215,7 +221,7 @@ sla_mixes = st.sampled_from([
 
 
 class TestDifferentialOracle:
-    """Randomized object-vs-columnar equivalence on the per-request path."""
+    """Randomized oracle-vs-core equivalence on the per-request path."""
 
     @given(
         kind=st.sampled_from(["poisson", "diurnal", "burst"]),
@@ -241,9 +247,9 @@ class TestDifferentialOracle:
             mode=ExecutionMode.ANALYTIC, vdds=(1.0, 0.6), binned=binned,
             coalesce=False, fault="none", drain_every=drain_every,
         )
-        reference = _run(cnn, pool, trace, "object", **config)
-        columnar = _run(cnn, pool, trace, "columnar", **config)
-        _assert_identical(reference, columnar)
+        reference = _run(cnn, pool, trace, "oracle", **config)
+        core = _run(cnn, pool, trace, "core", **config)
+        _assert_identical(reference, core)
 
     @given(
         kind=st.sampled_from(["poisson", "burst"]),
@@ -263,13 +269,13 @@ class TestDifferentialOracle:
             mode=ExecutionMode.EXACT, vdds=(1.0, 0.8), binned=False,
             coalesce=coalesce, fault="none", drain_every=16,
         )
-        reference = _run(cnn, pool, trace, "object", **config)
-        columnar = _run(cnn, pool, trace, "columnar", **config)
-        _assert_identical(reference, columnar)
+        reference = _run(cnn, pool, trace, "oracle", **config)
+        core = _run(cnn, pool, trace, "core", **config)
+        _assert_identical(reference, core)
 
 
 class TestFaultDifferential:
-    """Fault plans (crash / degrade / stall + replay) across both kernels."""
+    """Fault plans (crash / degrade / stall + replay) on both routers."""
 
     @given(
         fault=st.sampled_from(["crash", "degrade", "mixed"]),
@@ -290,12 +296,12 @@ class TestFaultDifferential:
             mode=ExecutionMode.ANALYTIC, vdds=(1.0, 0.6, 0.8), binned=False,
             coalesce=False, fault=fault, drain_every=drain_every,
         )
-        reference = _run(cnn, pool, trace, "object", **config)
-        columnar = _run(cnn, pool, trace, "columnar", **config)
+        reference = _run(cnn, pool, trace, "oracle", **config)
+        core = _run(cnn, pool, trace, "core", **config)
         # _run already asserted conservation per-side; the replayed request
         # set (crash re-placements) must also coincide.
-        assert columnar["replayed_set"] == reference["replayed_set"]
-        _assert_identical(reference, columnar)
+        assert core["replayed_set"] == reference["replayed_set"]
+        _assert_identical(reference, core)
 
 
 @pytest.mark.slow
@@ -303,7 +309,7 @@ class TestTurboDifferential:
     """The steady-state turbo batch path vs the oracle at depth.
 
     Warm memoised fleets with spot checks on, thousands of requests,
-    drain chunks large enough that the columnar side takes its batch
+    drain chunks large enough that the core takes its batch
     admission/dispatch/flush path — the configuration the throughput
     benchmark measures.
     """
@@ -330,11 +336,9 @@ class TestTurboDifferential:
             coalesce=False, fault="none", drain_every=drain_every,
             spot_check_every=100, warm=True,
         )
-        reference = _run(cnn, pool, trace, "object", **config)
-        columnar = _run(
-            cnn, pool, trace, "columnar", aggregates_only=True, **config
-        )
-        _assert_identical(reference, columnar)
+        reference = _run(cnn, pool, trace, "oracle", **config)
+        core = _run(cnn, pool, trace, "core", aggregates_only=True, **config)
+        _assert_identical(reference, core)
 
     def test_turbo_matches_oracle_with_faults_mid_trace(self, trained, pool):
         """Fault horizons force per-chunk fallback; mixing turbo and oracle
@@ -349,9 +353,222 @@ class TestTurboDifferential:
             coalesce=False, fault="crash", drain_every=128,
             spot_check_every=200, warm=True,
         )
-        reference = _run(cnn, pool, trace, "object", **config)
-        columnar = _run(
-            cnn, pool, trace, "columnar", aggregates_only=True, **config
+        reference = _run(cnn, pool, trace, "oracle", **config)
+        core = _run(cnn, pool, trace, "core", aggregates_only=True, **config)
+        assert core["replayed_set"] == reference["replayed_set"]
+        _assert_identical(reference, core)
+
+
+# ---------------------------------------------------------------------- #
+# The gateway's call pattern: small admission batches read back per drain
+# ---------------------------------------------------------------------- #
+_SLAS = (SLAClass.LATENCY, SLAClass.THROUGHPUT, SLAClass.BEST_EFFORT)
+
+
+def _gateway_fleet(mode):
+    memo = ForwardMemo()
+    return [
+        ClusterNode(
+            f"n{index}", vdd=vdd, num_macros=NUM_MACROS, max_batch_size=16,
+            execution_mode=mode, forward_memo=memo,
         )
-        assert columnar["replayed_set"] == reference["replayed_set"]
-        _assert_identical(reference, columnar)
+        for index, vdd in enumerate((1.0, 0.6))
+    ]
+
+
+def _cluster_series(snapshot):
+    """Every ``cluster_*`` counter and histogram sample, minus timestamps."""
+    series = {}
+    for name, family in snapshot["metrics"].items():
+        if not name.startswith("cluster_") or family["kind"] == "gauge":
+            continue
+        for sample in family["samples"]:
+            key = (name, tuple(sorted(sample["labels"].items())))
+            series[key] = {
+                k: v for k, v in sample.items()
+                if k not in ("labels", "virtual_s", "wall_s")
+            }
+    return series
+
+
+def _serve_like_gateway(side, cnn, pool, batches, seed, mode):
+    """Admit, drain and read back each batch as ``GatewayServer`` does."""
+    nodes = _gateway_fleet(mode)
+    registry, tracer = MetricsRegistry(), Tracer(sample_every=7)
+    cls = ObjectRouter if side == "oracle" else ClusterRouter
+    router = cls(nodes, coalesce=True, metrics=registry, tracer=tracer)
+    router.register_model("cnn", cnn)
+    rng = np.random.default_rng(seed)
+    results, scrapes = [], []
+    try:
+        for size in batches:
+            ids = []
+            for _ in range(size):
+                slots = pool[("cnn", IMAGE_COUNTS[int(rng.integers(2))])]
+                digest, images = slots[int(rng.integers(len(slots)))]
+                sla = _SLAS[int(rng.integers(3))]
+                ids.append(router.submit(
+                    "cnn", images, sla=sla, input_digest=digest,
+                    deadline_s=5e-4 if sla is SLAClass.LATENCY else None,
+                ))
+            router.drain()
+            results.extend(router.result(rid) for rid in ids)
+            scrapes.append(_cluster_series(registry.snapshot()))
+        ledgers = {
+            node.node_id: (
+                node.ledger().total_cycles, node.ledger().total_energy_j,
+                node.telemetry.summary(),
+            )
+            for node in nodes
+        }
+    finally:
+        router.shutdown()
+    return results, scrapes, ledgers, tracer
+
+
+class TestGatewayCallPattern:
+    """Oracle-vs-core equivalence under ``GatewayServer._dispatch_batch``'s
+    pattern: coalescing, retained results, a registry and a tracer
+    attached, admission batches of 1-128 requests, one ``drain()`` per
+    batch, then ``result(id)`` per request (the core charges directly
+    after the first read-back)."""
+
+    @given(
+        batches=st.lists(st.integers(min_value=1, max_value=128), min_size=1, max_size=3),
+        mode=st.sampled_from([ExecutionMode.ANALYTIC, ExecutionMode.EXACT]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(batches=[128, 32, 128], mode=ExecutionMode.ANALYTIC, seed=7)
+    @example(batches=[1, 128], mode=ExecutionMode.EXACT, seed=11)
+    def test_gateway_pattern_matches(self, trained, pool, batches, mode, seed):
+        _, cnn = trained
+        want = _serve_like_gateway("oracle", cnn, pool, batches, seed, mode)
+        got = _serve_like_gateway("core", cnn, pool, batches, seed, mode)
+        fields = [f for f in _TRACE_FIELDS if f != "span_id"]
+        assert len(got[0]) == len(want[0]) == sum(batches)
+        for ours, theirs in zip(got[0], want[0]):
+            assert [getattr(ours, f) for f in fields] == [getattr(theirs, f) for f in fields]
+            assert ours.sla is theirs.sla
+            assert np.array_equal(ours.predictions, theirs.predictions)
+        assert got[1] == want[1]  # the scraped cluster_* series, batch by batch
+        assert got[2] == want[2]  # node ledgers and node telemetry
+
+    def test_charge_path_follows_read_back(self, trained, pool, monkeypatch):
+        """Deferred charging until results are read back per drain, direct
+        charging while they are, deferred again once they are not."""
+        _, cnn = trained
+        router = ClusterRouter(_gateway_fleet(ExecutionMode.ANALYTIC))
+        router.register_model("cnn", cnn)
+        paths = []
+        for name in ("_dispatch_fast", "_dispatch_direct"):
+            original = getattr(ClusterRouter, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                paths.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(ClusterRouter, name, counting)
+        digest, images = pool[("cnn", 3)][0]
+
+        def serve(read_back):
+            del paths[:]
+            rid = router.submit("cnn", images, input_digest=digest)
+            router.drain()
+            if read_back:
+                router.result(rid)
+            return set(paths)
+
+        serve(read_back=True)  # cold: programs weights on the direct path
+        assert serve(read_back=True) == {"_dispatch_direct"}
+        assert serve(read_back=False) == {"_dispatch_direct"}
+        assert serve(read_back=False) == {"_dispatch_fast"}
+        router.shutdown()
+
+
+class TestTracerWithoutRegistry:
+    def test_tracer_only_router_emits_the_oracles_spans(self, trained, pool):
+        """A tracer alone (no metrics registry) still yields the sampled
+        span trees, identical to the oracle's, and results carry span ids."""
+        _, cnn = trained
+        slots = pool[("cnn", 3)][:2]
+
+        def run(cls):
+            tracer = Tracer(sample_every=1)
+            router = cls(_gateway_fleet(ExecutionMode.ANALYTIC), tracer=tracer)
+            router.register_model("cnn", cnn)
+            ids = [router.submit("cnn", images, input_digest=d) for d, images in slots]
+            router.drain()
+            results = [router.result(rid) for rid in ids]
+            router.shutdown()
+            spans = [
+                (s.name, s.trace_id, s.span_id, s.parent_id, s.start_virtual_s,
+                 s.end_virtual_s)
+                for s in tracer.spans
+            ]
+            return spans, results
+
+        want, _ = run(ObjectRouter)
+        got, results = run(ClusterRouter)
+        assert len(want) == 8
+        assert got == want
+        assert [r.span_id for r in results] == [
+            span[2] for span in got if span[0] == "admission"
+        ]
+
+
+class TestAggregateOnlyTelemetry:
+    def test_fold_and_drop_matches_the_oracle(self, trained, pool, monkeypatch):
+        """``retain_traces=False`` folds rows into running aggregates (and
+        the registry) and drops them every ``_AGG_FLUSH_ROWS``; summaries,
+        ledgers, scraped series and sampled spans still match the oracle."""
+        _, cnn = trained
+        monkeypatch.setattr(ColumnarTelemetry, "_AGG_FLUSH_ROWS", 64)
+        trace = _make_trace(
+            "diurnal", 400, 1e-3,
+            {"latency": 0.3, "throughput": 0.4, "best_effort": 0.3}, 5,
+        )
+
+        def run(side):
+            nodes = _gateway_fleet(ExecutionMode.ANALYTIC)
+            registry, tracer = MetricsRegistry(), Tracer(sample_every=16)
+            if side == "oracle":
+                router = ObjectRouter(nodes, metrics=registry, tracer=tracer)
+            else:
+                router = ClusterRouter(
+                    nodes, telemetry=ColumnarTelemetry(retain_traces=False),
+                    retain_results=False, metrics=registry, tracer=tracer,
+                )
+            router.register_model("cnn", cnn)
+            for node in nodes:
+                for slots in pool.values():
+                    for digest, images in slots:
+                        node.execute("cnn", images, input_digest=digest)
+            router.replay_trace(trace, pool, drain_every=32)
+            telemetry = router.telemetry
+            observed = {
+                "summary": telemetry.summary(),
+                "misses": [telemetry.deadline_miss_rate(sla.value) for sla in _SLAS],
+                "counts": [telemetry.request_count(sla.value) for sla in _SLAS],
+                "ledger": (router.ledger().total_cycles, router.ledger().total_energy_j),
+                "nodes": [node.telemetry.summary() for node in nodes],
+                "spans": [
+                    (s.name, s.trace_id, s.start_virtual_s, s.end_virtual_s)
+                    for s in tracer.spans
+                ],
+            }
+            series = _cluster_series(registry.snapshot())
+            router.shutdown()
+            return observed, series
+
+        want, want_series = run("oracle")
+        got, got_series = run("core")
+        assert got == want
+        assert len(want["spans"]) == 4 * len(range(0, 400, 16))
+        # The core folds 64-row chunks where the oracle folds once at the
+        # scrape, so float sums may round differently; fold counts differ.
+        del want_series[("cluster_telemetry_folds_total", ())]
+        del got_series[("cluster_telemetry_folds_total", ())]
+        assert got_series.keys() == want_series.keys()
+        for key, sample in want_series.items():
+            for field, value in sample.items():
+                assert got_series[key][field] == pytest.approx(value, rel=1e-12), key

@@ -38,6 +38,7 @@ from repro.gateway import (
     FrameDecoder,
     FrameType,
     GatewayClient,
+    GatewayRequestError,
     GatewayShedError,
     RetryBudgetExceeded,
     ThreadedGateway,
@@ -45,6 +46,7 @@ from repro.gateway import (
     encode_images,
 )
 from repro.gateway.journal import TERMINAL_STATUSES
+from repro.reliability import FaultEvent, FaultKind, FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -804,3 +806,44 @@ class TestCrashDrill:
             "cancelled",
             "dropped",
         }
+
+
+# --------------------------------------------------------------------- #
+# A fleet with no live node left
+# --------------------------------------------------------------------- #
+class TestStrandedFleet:
+    def test_dead_fleet_answers_error_and_health_stays_live(self, trained, tmp_path):
+        """Every node failed and no recovery is scheduled (as when every
+        fleet worker died): the drain makes no progress, so each request is
+        answered with an ERROR and journaled ``error`` instead of the
+        dispatcher spinning with the event loop blocked."""
+        dataset, cnn = trained
+        path = tmp_path / "adm.jsonl"
+        router = ClusterRouter(
+            [ClusterNode("n0", vdd=1.0, num_macros=4, max_batch_size=256)],
+            fault_plan=FaultPlan([FaultEvent(0.0, FaultKind.CRASH, "n0")]),
+        )
+        router.register_model("cnn", cnn)
+        gw = ThreadedGateway(router, max_queue=64, journal=str(path))
+        gw.start()
+        try:
+            with GatewayClient(
+                gw.server.host, gw.server.port, retries=0, timeout_s=2.0
+            ) as client:
+                started = time.monotonic()
+                for index in range(2):
+                    with pytest.raises(GatewayRequestError) as raised:
+                        client.predict("cnn", dataset.test_images[index : index + 1])
+                    assert raised.value.code == "execution_failed"
+                assert client.health()["state"] == "ready"
+                assert time.monotonic() - started < 2.0
+            assert wait_until(
+                lambda: gw.server.snapshot()["journal_records_written"] >= 4
+            )
+        finally:
+            gw.stop()
+            router.shutdown()
+        assert router.queue_depth() == 2  # stranded, never executed
+        recovery = AdmissionJournal.recover(path)
+        assert recovery.lost == []
+        assert list(recovery.outcomes.values()) == ["error", "error"]
