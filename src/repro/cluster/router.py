@@ -69,7 +69,7 @@ from repro.cluster.telemetry import ColumnarTelemetry, RequestTrace
 from repro.core.stats import MacroStatistics
 from repro.errors import ConfigurationError
 from repro.reliability.faults import FaultEvent, FaultKind, FaultPlan
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import MetricsRegistry, Tracer
@@ -88,6 +88,10 @@ _SLA_BY_VALUE = {sla.value: sla for sla in SLAClass}
 #: deadline_s, input_digest, image_count, reserved span, feasible_at_admission).
 _E_RID, _E_MODEL, _E_IMAGES, _E_SLA, _E_ARRIVAL, _E_DEADLINE = 0, 1, 2, 3, 4, 5
 _E_DIGEST, _E_COUNT, _E_SPAN, _E_FEASIBLE = 6, 7, 8, 9
+
+#: Input digests whose images passed the finiteness check, kept so a
+#: recurring tensor is scanned once; the set is cleared when it fills.
+_FINITE_DIGESTS = 4096
 
 #: Decision layout: (node_id, sla, feasible, affinity_hit, replicated,
 #: est_start_s, est_finish_s, est_latency_s, est_energy_per_image_j,
@@ -204,6 +208,7 @@ class ClusterRouter:
         #: Total re-placements performed (the replay-overhead numerator).
         self.replayed_placements = 0
         self._next_rid = 0
+        self._finite_digests: Set[str] = set()
         self._decisions: Dict[int, tuple] = {}
         self._failed: Dict[int, BaseException] = {}
         #: request_id -> (telemetry row index, predictions); results are
@@ -575,7 +580,8 @@ class ClusterRouter:
 
         Args:
             model_id: A model previously passed to ``register_model``.
-            images: ``(batch, channels, height, width)`` float64 tensor.
+            images: ``(batch, channels, height, width)`` float64 tensor
+                of finite values.
             sla: The request's service class (latency / throughput /
                 best effort).
             deadline_s: Virtual-time deadline; required for (and only
@@ -593,6 +599,16 @@ class ClusterRouter:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[0] == 0:
             raise ConfigurationError("expected a non-empty (batch, channels, height, width) array")
+        # A non-finite pixel would poison the activation scale of every
+        # batchmate a coalesced dispatch gives it.  A digest names identical
+        # images (the forward memo's contract), so a known-finite one is not
+        # re-scanned: analytic requests otherwise never read their pixels.
+        if input_digest not in self._finite_digests:
+            check_finite("images", images)
+            if input_digest is not None:
+                if len(self._finite_digests) >= _FINITE_DIGESTS:
+                    self._finite_digests.clear()
+                self._finite_digests.add(input_digest)
         if sla is SLAClass.LATENCY:
             if deadline_s is None or deadline_s <= 0:
                 raise ConfigurationError("latency-class requests need a positive deadline_s")

@@ -41,6 +41,7 @@ The engine is a drop-in integer matmul backend: calling it with
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -427,10 +428,15 @@ class TiledMatmulEngine:
     # ------------------------------------------------------------------ #
     @staticmethod
     def layer_id_for(weights: np.ndarray) -> str:
-        """Content-derived stable id for a weight matrix."""
+        """Content-derived id for a weight matrix, stable across processes.
+
+        The digest is ``sha256`` over the int64 codes, so unlike the
+        interpreter's salted ``hash()`` it does not depend on
+        ``PYTHONHASHSEED``.
+        """
         weights = np.ascontiguousarray(weights, dtype=np.int64)
-        digest = hash((weights.shape, weights.tobytes()))
-        return f"auto-{weights.shape[0]}x{weights.shape[1]}-{digest & 0xFFFFFFFFFFFF:012x}"
+        digest = hashlib.sha256(weights).hexdigest()[:12]
+        return f"auto-{weights.shape[0]}x{weights.shape[1]}-{digest}"
 
     def plan_tiles(self, inner: int, outer: int) -> List[TileAssignment]:
         """Cut an ``inner x outer`` weight matrix into macro-pinned tiles.
@@ -543,16 +549,14 @@ class TiledMatmulEngine:
                 f"shape mismatch: activations {activations.shape} x weights "
                 f"{weights.shape}"
             )
+        # Bounds via max/min: no abs() copy of a batch-sized operand, and
+        # INT64_MIN (whose abs() wraps negative) cannot slip through.
         limit = mask(self.precision_bits - 1)
-        magnitude = 0
-        if activations.size:
-            magnitude = int(np.abs(activations).max())
-        if weights.size:
-            magnitude = max(magnitude, int(np.abs(weights).max()))
-        if magnitude > limit:
-            raise ConfigurationError(
-                f"operand magnitudes exceed the {self.precision_bits}-bit precision"
-            )
+        for operand in (activations, weights):
+            if operand.size and (operand.max() > limit or operand.min() < -limit):
+                raise ConfigurationError(
+                    f"operand magnitudes exceed the {self.precision_bits}-bit precision"
+                )
 
     def _build_charge_plan(
         self, tiles: Sequence[TileAssignment]

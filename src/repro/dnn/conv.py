@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.dnn.quantization import QuantizedTensor, quantize_tensor
 from repro.errors import ConfigurationError
+from repro.utils.fixedpoint import FixedPointFormat
 
 __all__ = ["Conv2DLayer", "QuantizedConv2DLayer", "conv_output_shape", "im2col"]
 
@@ -39,6 +40,37 @@ def conv_output_shape(
     return (height - kernel_size) // stride + 1, (width - kernel_size) // stride + 1
 
 
+def _check_images(images: np.ndarray) -> np.ndarray:
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 4:
+        raise ConfigurationError(
+            f"im2col expects (batch, channels, height, width), got shape {images.shape}"
+        )
+    return images
+
+
+def _windows(array: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
+    """Strided ``(batch, channels, out_y, out_x, k, k)`` window view (no copy)."""
+    return np.lib.stride_tricks.sliding_window_view(
+        array, (kernel_size, kernel_size), axis=(2, 3)
+    )[:, :, ::stride, ::stride]
+
+
+def _lower(array: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
+    """Gather the windows of a 4-D array of any dtype into im2col rows.
+
+    Transposing the window view to ``(batch, out_y, out_x, channels, k, k)``
+    reproduces the reference row-major patch order exactly (one row per
+    output position, each row a flattened ``(channels, k, k)`` receptive
+    field); the one contiguous copy is the only allocation.
+    """
+    windows = _windows(array, kernel_size, stride)
+    batch, channels, out_height, out_width = windows.shape[:4]
+    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        batch * out_height * out_width, channels * kernel_size * kernel_size
+    )
+
+
 def im2col(
     images: np.ndarray, kernel_size: int, stride: int = 1
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -56,25 +88,9 @@ def im2col(
     (matrix, (out_height, out_width)) where ``matrix`` has shape
     ``(batch * out_height * out_width, channels * kernel_size^2)``.
     """
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ConfigurationError(
-            f"im2col expects (batch, channels, height, width), got shape {images.shape}"
-        )
-    batch, channels, height, width = images.shape
-    out_height, out_width = conv_output_shape(height, width, kernel_size, stride)
-    # Vectorized patch extraction: sliding windows over (H, W) give
-    # (batch, channels, H-k+1, W-k+1, k, k); striding and transposing to
-    # (batch, out_y, out_x, channels, k, k) reproduces the reference
-    # row-major patch order exactly (one row per output position, each row a
-    # flattened (channels, k, k) receptive field).
-    windows = np.lib.stride_tricks.sliding_window_view(
-        images, (kernel_size, kernel_size), axis=(2, 3)
-    )[:, :, ::stride, ::stride]
-    columns = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        batch * out_height * out_width, channels * kernel_size * kernel_size
-    )
-    return columns, (out_height, out_width)
+    images = _check_images(images)
+    out_shape = conv_output_shape(images.shape[2], images.shape[3], kernel_size, stride)
+    return _lower(images, kernel_size, stride), out_shape
 
 
 @dataclass
@@ -162,16 +178,34 @@ class QuantizedConv2DLayer:
     def forward(
         self, images: np.ndarray, matmul: Optional[Callable] = None
     ) -> np.ndarray:
-        """Quantised forward pass through an integer matmul backend."""
+        """Quantised forward pass through an integer matmul backend.
+
+        Every im2col entry is a pixel and quantisation is elementwise, so it
+        commutes with the gather: the pixels are quantised once, under the
+        scale of the pixels the windows cover, and their integer codes are
+        lowered.  The code matrix equals the one quantising the k^2-fold
+        im2col matrix would give, without that matrix's float temporaries.
+        """
         layer = self.float_layer
-        columns, (out_height, out_width) = im2col(images, layer.kernel_size, layer.stride)
-        activations = quantize_tensor(columns, self.activation_bits)
+        kernel, stride = layer.kernel_size, layer.stride
+        images = _check_images(images)
+        out_height, out_width = conv_output_shape(
+            images.shape[2], images.shape[3], kernel, stride
+        )
+        # The windows span this crop; with stride <= kernel they cover all
+        # of it, with stride > kernel they skip the gaps between them.
+        span_height = (out_height - 1) * stride + kernel
+        span_width = (out_width - 1) * stride + kernel
+        pixels = images[:, :, :span_height, :span_width]
+        covered = pixels if stride <= kernel else _windows(pixels, kernel, stride)
+        fmt = FixedPointFormat.for_tensor(covered, self.activation_bits)
+        codes = _lower(fmt.quantize(pixels), kernel, stride)
         if matmul is None:
-            accumulator = activations.codes.astype(np.int64) @ self.quantized_weights.codes
+            accumulator = codes @ self.quantized_weights.codes
         else:
-            accumulator = matmul(activations.codes, self.quantized_weights.codes)
+            accumulator = matmul(codes, self.quantized_weights.codes)
         outputs = (
-            accumulator.astype(np.float64) * activations.scale * self.quantized_weights.scale
+            accumulator.astype(np.float64) * fmt.scale * self.quantized_weights.scale
             + layer.bias
         )
         if layer.relu:

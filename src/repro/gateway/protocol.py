@@ -30,6 +30,7 @@ import base64
 import enum
 import hashlib
 import json
+import math
 import struct
 from typing import Iterator, List, Optional, Tuple
 
@@ -344,8 +345,9 @@ def decode_images(payload: dict) -> np.ndarray:
 
     Raises:
         ProtocolError: On a missing field, a dtype other than
-            :data:`WIRE_DTYPE`, a bad base64 body, or a byte count that
-            does not match the announced shape.
+            :data:`WIRE_DTYPE`, a shape whose byte count exceeds
+            :data:`MAX_PAYLOAD_BYTES`, a bad base64 body, a byte count that
+            does not match the announced shape, or a NaN or infinite value.
     """
     if not isinstance(payload, dict):
         raise ProtocolError("images must be an object with shape/dtype/data")
@@ -363,16 +365,27 @@ def decode_images(payload: dict) -> np.ndarray:
         or not all(isinstance(dim, int) and dim > 0 for dim in shape)
     ):
         raise ProtocolError(f"images shape must be 4 positive ints, got {shape!r}")
+    # Python ints: numpy's int64 product wraps (2**32 * 2**32 reads as 0).
+    expected = math.prod(shape) * 8
+    if expected > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(
+            f"images shape {shape} needs {expected} bytes, over the "
+            f"{MAX_PAYLOAD_BYTES}-byte frame limit"
+        )
     try:
         raw = base64.b64decode(payload["data"], validate=True)
     except (ValueError, TypeError) as error:
         raise ProtocolError(f"images data is not valid base64: {error}") from None
-    expected = int(np.prod(shape)) * 8
     if len(raw) != expected:
         raise ProtocolError(
             f"images data holds {len(raw)} bytes, shape {shape} needs {expected}"
         )
-    return np.frombuffer(raw, dtype=WIRE_DTYPE).reshape(shape).copy()
+    images = np.frombuffer(raw, dtype=WIRE_DTYPE).reshape(shape)
+    # The activation scale is shared by a whole coalesced batch: one NaN or
+    # infinity would change every batchmate's predictions.
+    if not np.isfinite(images).all():
+        raise ProtocolError("images must be finite (no NaN or infinity)")
+    return images.copy()
 
 
 def images_digest(images: np.ndarray) -> str:

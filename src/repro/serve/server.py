@@ -39,7 +39,7 @@ from repro.core.chip import IMCChip
 from repro.core.config import MacroConfig
 from repro.core.matmul import TiledMatmulEngine
 from repro.errors import ConfigurationError
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_positive
 
 __all__ = [
     "InferenceRequest",
@@ -222,8 +222,9 @@ class InferenceServer:
             The request id to pass to :meth:`result`.
 
         Raises:
-            ConfigurationError: The tensor is not 4-D or the batch is
-                empty.
+            ConfigurationError: The tensor is not 4-D, the batch is
+                empty, or a pixel is NaN or infinite (the batch's shared
+                activation scale would poison every batchmate).
         """
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4:
@@ -233,6 +234,7 @@ class InferenceServer:
             )
         if images.shape[0] == 0:
             raise ConfigurationError("a request needs at least one image")
+        check_finite("images", images)
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1

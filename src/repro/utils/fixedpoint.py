@@ -8,6 +8,7 @@ fixed-point format used for that quantisation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,10 @@ class FixedPointFormat:
             raise ConfigurationError(
                 f"fixed-point width must be at least 2 bits, got {self.width}"
             )
-        if self.scale <= 0:
-            raise ConfigurationError(f"fixed-point scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ConfigurationError(
+                f"fixed-point scale must be finite and > 0, got {self.scale}"
+            )
 
     @property
     def min_code(self) -> int:
@@ -64,17 +67,27 @@ class FixedPointFormat:
     @classmethod
     def for_tensor(cls, tensor: np.ndarray, width: int) -> "FixedPointFormat":
         """Choose a scale so that the absolute maximum of ``tensor`` maps onto
-        the largest representable code."""
-        abs_max = float(np.max(np.abs(tensor))) if tensor.size else 0.0
+        the largest representable code.
+
+        The magnitude is ``max(max, -min)``: two reductions, no ``abs()``
+        copy of a possibly batch-sized tensor.
+        """
+        tensor = np.asarray(tensor)
+        abs_max = max(float(tensor.max()), -float(tensor.min())) if tensor.size else 0.0
         if abs_max == 0.0:
             abs_max = 1.0
         max_code = (1 << (width - 1)) - 1
         return cls(width=width, scale=abs_max / max_code)
 
     def quantize(self, tensor: np.ndarray) -> np.ndarray:
-        """Quantise a float tensor to integer codes (numpy int64 array)."""
-        codes = np.rint(np.asarray(tensor, dtype=np.float64) / self.scale)
-        return np.clip(codes, self.min_code, self.max_code).astype(np.int64)
+        """Quantise a float tensor to integer codes (numpy int64 array).
+
+        ``rint`` and ``clip`` run in place on the one float temporary.
+        """
+        codes = np.asarray(tensor, dtype=np.float64) / self.scale
+        np.rint(codes, out=codes)
+        np.clip(codes, self.min_code, self.max_code, out=codes)
+        return codes.astype(np.int64)
 
     def dequantize(self, codes: np.ndarray) -> np.ndarray:
         """Convert integer codes back to real values."""

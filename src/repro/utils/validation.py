@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from numbers import Real
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -17,6 +19,7 @@ __all__ = [
     "check_in_range",
     "check_power_of_two",
     "check_probability",
+    "check_finite",
     "check_ledger_conservation",
 ]
 
@@ -49,6 +52,12 @@ def check_probability(name: str, value: Real) -> None:
     """Raise unless ``value`` is a valid probability in [0, 1]."""
     if not (0.0 <= value <= 1.0):
         raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value}")
+
+
+def check_finite(name: str, array: np.ndarray) -> None:
+    """Raise unless every element of ``array`` is finite (no NaN or infinity)."""
+    if not np.isfinite(array).all():
+        raise ConfigurationError(f"{name} must be finite (no NaN or infinity)")
 
 
 def check_ledger_conservation(cluster, parts, rel: float = 1e-12) -> None:

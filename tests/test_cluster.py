@@ -19,6 +19,7 @@ from repro.cluster import (
     SLAScheduler,
     model_weight_codes,
 )
+from repro.cluster import router as router_module
 from repro.dnn import make_pattern_image_dataset, train_pattern_cnn
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_ledger_conservation
@@ -439,6 +440,41 @@ class TestRouterAccounting:
             with pytest.raises(ConfigurationError):
                 router.submit("a", np.zeros((0, 1, 8, 8)))
         router.shutdown()  # idempotent after __exit__
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_request_cannot_poison_its_coalesced_batchmates(self, trained, bad):
+        # The activation scale is shared by a coalesced batch: admitted, one
+        # NaN pixel turned every batchmate's prediction into class 0.
+        dataset, model_a, _ = trained
+        good = dataset.test_images[:8]
+        with _router({"a": model_a}, vdds=(0.9,), coalesce=True) as router:
+            alone = router.submit("a", good)
+            router.drain()
+            expected = router.result(alone).predictions
+        assert len(set(expected.tolist())) > 1
+        poisoned = good[:1].copy()
+        poisoned[0, 0, 3, 3] = bad
+        with _router({"a": model_a}, vdds=(0.9,), coalesce=True) as router:
+            request = router.submit("a", good)
+            with pytest.raises(ConfigurationError, match="finite"):
+                router.submit("a", poisoned)
+            router.drain()
+            assert np.array_equal(router.result(request).predictions, expected)
+
+    def test_a_known_finite_digest_is_scanned_once(self, trained, monkeypatch):
+        dataset, model_a, _ = trained
+        scanned = []
+        monkeypatch.setattr(router_module, "check_finite", lambda name, images: scanned.append(1))
+        monkeypatch.setattr(router_module, "_FINITE_DIGESTS", 2)
+        images = dataset.test_images[:2]
+        with _router({"a": model_a}, vdds=(0.9,)) as router:
+            for digest in ("d0", "d0", "d1", None, None, "d0", "d2"):
+                router.submit("a", images, input_digest=digest)
+            router.drain()
+            # Scanned: d0, d1, both digest-less requests and d2; the repeats
+            # of d0 hit the set.  d2 found it full, so it cleared it.
+            assert len(scanned) == 5
+            assert router._finite_digests == {"d2"}
 
     def test_duplicate_node_ids_rejected(self):
         with pytest.raises(ConfigurationError):

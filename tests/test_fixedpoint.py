@@ -26,6 +26,22 @@ class TestFixedPointFormat:
         with pytest.raises(ConfigurationError):
             FixedPointFormat(width=8, scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FixedPointFormat(width=8, scale=scale)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_for_tensor_refuses_non_finite_tensors(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FixedPointFormat.for_tensor(np.array([1.0, bad, -2.0]), 8)
+
+    def test_quantize_leaves_its_input_untouched(self):
+        tensor = np.array([0.26, -1.9, 5.0])
+        fmt = FixedPointFormat(width=4, scale=0.5)
+        assert fmt.quantize(tensor).tolist() == [1, -4, 7]
+        assert tensor.tolist() == [0.26, -1.9, 5.0]
+
     def test_for_tensor_covers_abs_max(self):
         tensor = np.array([-2.0, 0.5, 1.5])
         fmt = FixedPointFormat.for_tensor(tensor, 8)

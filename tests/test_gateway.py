@@ -244,6 +244,30 @@ class TestImagesCodec:
         with pytest.raises(ProtocolError, match="non-empty"):
             encode_images(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_rejected(self, bad):
+        images = np.ones((2, 1, 2, 2))
+        images[1, 0, 1, 0] = bad
+        with pytest.raises(ProtocolError, match="finite"):
+            decode_images(encode_images(images))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            [2**32, 2**32, 1, 1],  # an int64 product wraps to 0 bytes
+            [2**62, 4, 1, 1],  # wraps to 0 as well
+            [2**70, 3, 1, 1],
+            [1, 1, 2048, 1025],  # one row past the frame limit
+        ],
+    )
+    def test_byte_count_past_the_frame_limit_rejected(self, shape):
+        with pytest.raises(ProtocolError, match="frame limit"):
+            decode_images({"shape": shape, "dtype": "<f8", "data": ""})
+
+    def test_byte_count_at_the_frame_limit_is_checked_against_the_body(self):
+        with pytest.raises(ProtocolError, match="holds 0 bytes"):
+            decode_images({"shape": [1, 1, 2048, 1024], "dtype": "<f8", "data": ""})
+
 
 class TestBackoffPolicy:
     def test_exponential_doubling_from_base(self):
@@ -505,6 +529,32 @@ class TestServing:
             ((frame_type, reply),) = recv_frames(sock, 1)
         assert frame_type is FrameType.ERROR
         assert reply["code"] == "unknown_images_ref"
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            {"shape": [2, 1, 2, 2], "dtype": "<f8", "nan_at": 5},
+            {"shape": [2**32, 2**32, 1, 1], "dtype": "<f8", "data": ""},
+        ],
+        ids=["nan_pixel", "wrapping_shape"],
+    )
+    def test_bad_images_are_bad_request_and_the_connection_stays_open(self, gateway, images):
+        if "nan_at" in images:
+            values = np.ones(images.pop("shape"))
+            values.reshape(-1)[images.pop("nan_at")] = np.nan
+            images = encode_images(values)
+        with socket.create_connection((gateway.server.host, gateway.server.port)) as sock:
+            sock.sendall(
+                encode_frame(FrameType.REQUEST, {"id": 7, "model_id": "cnn", "images": images})
+            )
+            sock.sendall(encode_frame(FrameType.PING, {"id": 8}))
+            (error_type, error), (pong_type, pong) = recv_frames(sock, 2)
+        assert error_type is FrameType.ERROR
+        assert (error["code"], error["id"]) == ("bad_request", 7)
+        assert pong_type is FrameType.PONG and pong["id"] == 8
+        stats = gateway.server.snapshot()
+        assert (stats["requests_received"], stats["errors_sent"]) == (1, 1)
+        assert stats["requests_admitted"] == 0
 
     def test_malformed_frame_gets_error_then_close(self, gateway):
         with socket.create_connection((gateway.server.host, gateway.server.port)) as sock:

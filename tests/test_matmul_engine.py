@@ -13,9 +13,16 @@ Three pillars:
   match the golden backend, and cache hits skip re-programming.
 """
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import IMCChip, MacroConfig, Opcode, TiledMatmulEngine
 from repro.core.matmul import (
     ProgrammedWeights,
@@ -25,6 +32,10 @@ from repro.core.matmul import (
 )
 from repro.dnn.imc_backend import NumpyIntBackend
 from repro.errors import ConfigurationError
+
+
+#: The directory ``repro`` is imported from, for child interpreters.
+IMPORT_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 
 def _engine(num_macros=2, precision_bits=8, **kwargs) -> TiledMatmulEngine:
@@ -108,6 +119,19 @@ class TestBitExactness:
         with pytest.raises(ConfigurationError):
             engine(np.array([[100]]), np.array([[1]]))
 
+    @pytest.mark.parametrize("code", [8, -8, np.iinfo(np.int64).min])
+    def test_precision_range_check_is_two_sided(self, code):
+        # INT64_MIN is what a NaN activation casts to; its abs() wraps
+        # negative, so only a max/min bound refuses it.
+        engine = _engine(precision_bits=4)
+        ok = np.array([[7, -7]], dtype=np.int64)
+        bad = np.array([[1, code]], dtype=np.int64)
+        engine(ok, np.ones((2, 1), dtype=np.int64))
+        with pytest.raises(ConfigurationError, match="precision"):
+            engine(bad, np.ones((2, 1), dtype=np.int64))
+        with pytest.raises(ConfigurationError, match="precision"):
+            engine(np.ones((1, 2), dtype=np.int64), bad.T)
+
     def test_shape_check(self):
         engine = _engine()
         with pytest.raises(ConfigurationError):
@@ -143,6 +167,28 @@ class TestWeightCacheProperties:
                 assert cache.resident_rows <= cache.capacity_rows
                 if rows <= capacity:
                     assert entry.layer_id in cache
+
+    def test_layer_id_is_stable_across_hash_seeds(self):
+        script = (
+            "import numpy as np;"
+            "from repro.core.matmul import TiledMatmulEngine;"
+            "print(TiledMatmulEngine.layer_id_for(np.arange(12).reshape(3, 4)))"
+        )
+        ids = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=IMPORT_ROOT)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            ids.add(done.stdout.strip())
+        assert len(ids) == 1
+        (layer_id,) = ids
+        assert re.fullmatch(r"auto-3x4-[0-9a-f]{12}", layer_id)
+        assert layer_id == TiledMatmulEngine.layer_id_for(np.arange(12).reshape(3, 4))
 
     def test_lru_eviction_order(self):
         engine = _engine(num_macros=1, capacity_rows=20)

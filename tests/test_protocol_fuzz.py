@@ -20,11 +20,12 @@ Profiles come from ``tests/conftest.py`` (``ci`` bounded/derandomized,
 """
 
 import json
+import math
 import socket
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.gateway import (
     FrameDecoder,
@@ -52,6 +53,22 @@ def valid_frames() -> st.SearchStrategy[bytes]:
         encode_frame,
         st.sampled_from(list(FrameType)),
         payloads,
+    )
+
+
+def huge_image_shapes() -> st.SearchStrategy[list]:
+    """4-D shapes whose float64 byte count exceeds the frame limit.
+
+    Dimensions near powers of two make numpy's int64 product wrap, to 0
+    or to a small count an empty or short body would match.
+    """
+    dims = st.one_of(
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from([2**31, 2**32, 2**33, 2**61, 2**62, 2**63, 2**64]),
+        st.integers(min_value=2**20, max_value=2**80),
+    )
+    return st.lists(dims, min_size=4, max_size=4).filter(
+        lambda shape: math.prod(shape) * 8 > MAX_PAYLOAD_BYTES
     )
 
 
@@ -254,6 +271,29 @@ class TestLiveServerFuzz:
         assert frames
         assert frames[-1][0] is FrameType.ERROR
         assert frames[-1][1]["code"] == "malformed_frame"
+
+    @given(shape=huge_image_shapes(), data=st.sampled_from(["", "AAAAAAAAAAA="]))
+    @example(shape=[2**32, 2**32, 1, 1], data="")
+    def test_huge_image_shapes_draw_bad_request_and_keep_the_connection(self, shape, data):
+        request = {
+            "id": 3,
+            "model_id": "cnn",
+            "images": {"shape": shape, "dtype": "<f8", "data": data},
+        }
+        with socket.create_connection(self.address, timeout=10.0) as sock:
+            sock.settimeout(10.0)
+            sock.sendall(encode_frame(FrameType.REQUEST, request))
+            sock.sendall(encode_frame(FrameType.PING, {"id": 4}))
+            decoder = FrameDecoder()
+            frames = []
+            while len(frames) < 2:
+                chunk = sock.recv(65536)
+                assert chunk, "the reader died instead of answering"
+                frames.extend(decoder.feed(chunk))
+        (error_type, error), (pong_type, _) = frames
+        assert error_type is FrameType.ERROR
+        assert (error["code"], error["id"]) == ("bad_request", 3)
+        assert pong_type is FrameType.PONG
 
     @given(payload=st.binary(min_size=1, max_size=64))
     def test_non_json_payloads_are_malformed(self, payload):

@@ -82,6 +82,19 @@ class TestSubmitDrain:
         with pytest.raises(ConfigurationError):
             InferenceServer(cnn, max_batch_size=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_images_before_they_join_a_batch(self, trained, bad):
+        dataset, cnn = trained
+        server = _server(cnn)
+        good = dataset.test_images[:8]
+        poisoned = dataset.test_images[8:9].copy()
+        poisoned[0, 0, 2, 5] = bad
+        request = server.submit(good)
+        with pytest.raises(ConfigurationError, match="finite"):
+            server.submit(poisoned)
+        server.drain()
+        assert np.array_equal(server.result(request).predictions, cnn.predict(good))
+
 
 class TestAccounting:
     def test_latency_and_queue_delay_recorded(self, trained):
