@@ -1103,14 +1103,12 @@ def million_request_trace_study(
         )
         probe.register_model("model-a", model_a)
         probe.execute("model-a", dataset.test_images[:max_images])
-        latencies = {
+        return {
             count: probe.estimate_request(
                 "model-a", dataset.test_images[:count]
             ).latency_s
             for count in image_counts
         }
-        probe.shutdown()
-        return latencies
 
     top_latencies = _warm_latencies(top_vdd)
     low_latencies = top_latencies if low_vdd == top_vdd else _warm_latencies(low_vdd)
@@ -1406,7 +1404,6 @@ def fleet_reliability_study(
         ).latency_s
         for count in image_counts
     }
-    probe.shutdown()
     deadline_s = deadline_scale * warm_latencies[max_images]
     mean_latency = sum(warm_latencies.values()) / len(warm_latencies)
     rate_rps = load * fleet_size / mean_latency

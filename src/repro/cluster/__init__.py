@@ -1,7 +1,7 @@
 """DVFS-aware multi-chip cluster runtime with SLA-class scheduling.
 
-The step above single-engine serving (:mod:`repro.serve`): a fleet of chips
-pinned to heterogeneous supply-voltage operating points, a router that
+A fleet of chips, each with its own weight-stationary engine, pinned to
+heterogeneous supply-voltage operating points, a router that
 admits SLA-tagged requests, a scheduler that places them DVFS-aware
 (deadline feasibility for the latency class, joules per image for the
 throughput class) with weight-affinity routing, and a reactive autoscaler

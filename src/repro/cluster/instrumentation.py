@@ -179,17 +179,12 @@ class ClusterInstrumentation:
         )
         self.serve_batches = m.counter(
             "serve_batches_total",
-            "Activation batches dispatched by the node's per-model server.",
+            "Activation batches the node's exact batch loop ran, per model.",
             labelnames=("node", "model"),
         )
         self.serve_images = m.counter(
             "serve_images_total",
-            "Images served through the node's per-model server.",
-            labelnames=("node", "model"),
-        )
-        self.serve_pending = m.gauge(
-            "serve_pending_images",
-            "Images queued on the node's per-model server, not yet dispatched.",
+            "Images the node's exact batch loop ran, per model.",
             labelnames=("node", "model"),
         )
 
@@ -347,18 +342,14 @@ class ClusterInstrumentation:
                         "(see repro.reliability.ChipBin).",
                         labelnames=("node",),
                     ).labels(node=node_id).set(value)
-            for model_id in node.model_ids:
-                serve = node.server_for(model_id).counters()
+            for model_id, (batches, images) in node.forward_counts.items():
                 _set_monotonic(
                     self.serve_batches.labels(node=node_id, model=model_id),
-                    serve["batches"],
+                    batches,
                 )
                 _set_monotonic(
                     self.serve_images.labels(node=node_id, model=model_id),
-                    serve["images_served"],
-                )
-                self.serve_pending.labels(node=node_id, model=model_id).set(
-                    serve["pending_images"]
+                    images,
                 )
 
 

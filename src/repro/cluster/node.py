@@ -9,20 +9,23 @@ resource:
   :class:`~repro.tech.technology.OperatingPoint` (frequency from the delay
   model, joules from the energy model — both already scale with VDD), a
   :class:`repro.core.matmul.TiledMatmulEngine` on that chip, and one
-  :class:`repro.serve.InferenceServer` per registered model, all sharing the
-  engine (and therefore the weight cache — multi-model residency contention
-  is real on a node);
+  engine-bound copy of every registered model, all sharing the engine (and
+  therefore the weight cache — multi-model residency contention is real on
+  a node);
 * :meth:`estimate_request` prices a request *before* running it — modeled
   latency and energy per layer via the engine's planning path, including the
   re-programming charge when the model's weights are not resident — which is
   what the scheduler ranks nodes by;
-* :meth:`execute` runs a request through the node's server and reports the
-  *measured* modeled compute time and energy from the batch records;
-* the lifecycle (:meth:`park` / :meth:`wake` / :meth:`retune` /
-  :meth:`shutdown`) leans on the server's context-manager support and
-  idempotent ``stop()``; retuning to a new supply rebuilds the chip (a real
-  rail change invalidates the programmed arrays) while the retired chip's
-  ledger is preserved so :meth:`ledger` is lifetime-accurate.
+* :meth:`execute_group` is the node's one dispatch body: it slices a group
+  of requests into consecutive ``max_batch_size`` batches and reads each
+  batch's *measured* modeled compute time and energy off the engine's
+  ledger marks, whichever compute module (real forward, exact charge, or a
+  subclass's) landed the charges; :meth:`execute` is a group of one;
+* the lifecycle (:meth:`park` / :meth:`wake` / :meth:`retune`) is plain
+  state: a forward is synchronous, so there is nothing to stop.  Retuning
+  to a new supply rebuilds the chip (a real rail change invalidates the
+  programmed arrays) while the retired chip's ledger is preserved so
+  :meth:`ledger` is lifetime-accurate.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from repro.core.config import MacroConfig
 from repro.core.matmul import TiledMatmulEngine
 from repro.core.stats import MacroStatistics
 from repro.errors import ConfigurationError
-from repro.serve import InferenceServer
 from repro.tech.technology import OperatingPoint
 from repro.utils.validation import check_positive
 
@@ -76,13 +78,15 @@ class NodeState(enum.Enum):
 class ExecutionMode(enum.Enum):
     """How a node turns an admitted request into results and charges.
 
-    ``EXACT`` runs the full numpy forward pass through the node's
-    :class:`~repro.serve.InferenceServer` on the weight-stationary engine —
-    every integer product is actually computed.  ``ANALYTIC`` charges the
-    very same accounting through the engine's exact-charge API
-    (:meth:`repro.core.matmul.TiledMatmulEngine.charge_dispatch`) and
-    memoises the numeric forward per ``(model_id, input_digest)``, so the
-    numpy model runs once per *unique* input instead of once per request.
+    ``EXACT`` runs each batch of the node's batch loop through the model
+    bound to the weight-stationary engine — every integer product is
+    actually computed.  ``ANALYTIC`` lands the very same charges through the
+    engine's exact-charge API
+    (:meth:`repro.core.matmul.TiledMatmulEngine.charge_layers`) in the same
+    loop and memoises the numeric forward per ``(model_id, input_digest)``,
+    so the numpy model runs once per *unique* input instead of once per
+    request.  Both modes fold modeled time with one formula, so degraded
+    nodes agree too.
 
     The fidelity contract: on any workload an ``ANALYTIC`` node produces
     bit-identical predictions, ledgers, dispatch accounting and (virtual-
@@ -151,9 +155,8 @@ def model_weight_codes(model) -> List[np.ndarray]:
     head weights) and a :class:`~repro.dnn.model.QuantizedMLP` (dense
     weights only).  The matrices identify the model's layers on a chip: the
     engine derives its cache keys from exactly these codes.  Note that the
-    cluster *serving* path (`ClusterNode.execute` via `InferenceServer`)
-    accepts image pipelines only; a bare MLP can be enumerated and priced
-    but not routed.
+    cluster *serving* path (:meth:`ClusterNode.execute_group`) accepts image
+    pipelines only; a bare MLP can be enumerated and priced but not routed.
     """
     if hasattr(model, "conv_layers") and hasattr(model, "head"):
         return [layer.quantized_weights.codes for layer in model.conv_layers] + [
@@ -188,11 +191,24 @@ def _layer_row_factors(model, image_shape: Tuple[int, ...]) -> List[int]:
     return [1 for _ in model.layers]
 
 
-def _layer_activation_rows(model, images: np.ndarray) -> List[int]:
-    """Activation-row count of each integer matmul in one forward pass."""
-    images = np.asarray(images)
-    batch = int(images.shape[0])
-    return [batch * factor for factor in _layer_row_factors(model, images.shape)]
+def _joined(parts: Sequence[Tuple[np.ndarray, Optional[str]]]) -> np.ndarray:
+    """A dispatch group's images as one batch, in part order."""
+    if len(parts) == 1:
+        return parts[0][0]
+    return np.concatenate([images for images, _ in parts])
+
+
+def _part_views(
+    grouped: np.ndarray, parts: Sequence[Tuple[np.ndarray, Optional[str]]]
+) -> List[np.ndarray]:
+    """Consecutive row views of ``grouped``, one per part of a group."""
+    views: List[np.ndarray] = []
+    offset = 0
+    for images, _ in parts:
+        size = int(images.shape[0])
+        views.append(grouped[offset : offset + size])
+        offset += size
+    return views
 
 
 @dataclass(frozen=True)
@@ -236,8 +252,8 @@ class NodeSpec:
     """A node's picklable construction recipe (the handle/state split).
 
     A :class:`ClusterNode` itself cannot cross a process boundary — it owns
-    an :class:`~repro.core.chip.IMCChip`, a live engine, inference-server
-    threads and mutable ledgers.  The spec is the *recipe* side of that
+    an :class:`~repro.core.chip.IMCChip`, a live engine, engine-bound
+    models and mutable ledgers.  The spec is the *recipe* side of that
     split: everything needed to build an equivalent node from scratch, and
     nothing that is runtime state.  ``node.spec()`` captures it,
     :meth:`build` replays it — the idiom :mod:`repro.fleet` uses to shard
@@ -351,7 +367,10 @@ class ClusterNode:
         self.available_s = 0.0
         self._models: Dict[str, object] = {}
         self._layer_ids: Dict[str, Tuple[str, ...]] = {}
-        self._servers: Dict[str, InferenceServer] = {}
+        #: model_id -> the model bound to the live engine (rebuilt by retune).
+        self._bound: Dict[str, object] = {}
+        #: model_id -> [batches, images] the exact batch loop has run.
+        self.forward_counts: Dict[str, List[int]] = {}
         #: (model_id, image shape tail) -> per-layer (row factor, codes, id).
         self._charge_specs: Dict[Tuple, Tuple[Tuple[int, np.ndarray, str], ...]] = {}
         #: Planning cache: estimates keyed by model/shape/residency state.
@@ -437,8 +456,6 @@ class ClusterNode:
             return
         for hook in self._pre_mutate_hooks:
             hook()
-        for server in self._servers.values():
-            server.stop()  # retire worker threads with the old engine
         self._retired.merge(self.chip.stats)
         self.chip = self.chip.at_operating_point(self.operating_point.at_voltage(vdd))
         self.config = self.chip.config
@@ -447,19 +464,14 @@ class ClusterNode:
         # operating point; the charge specs (weight codes / layer ids / row
         # factors) are engine-independent and stay valid.
         self._estimate_cache.clear()
-        self._servers = {
-            model_id: self._build_server(model)
+        self._bound = {
+            model_id: model.with_backend(self.engine)
             for model_id, model in self._models.items()
         }
 
     # ------------------------------------------------------------------ #
     # Models and residency
     # ------------------------------------------------------------------ #
-    def _build_server(self, model) -> InferenceServer:
-        return InferenceServer(
-            model, engine=self.engine, max_batch_size=self.max_batch_size
-        )
-
     def register_model(self, model_id: str, model, allow_transient: bool = False) -> None:
         """Make a model servable on this node (weights stay cold until used).
 
@@ -497,18 +509,13 @@ class ClusterNode:
         self._layer_ids[model_id] = tuple(
             TiledMatmulEngine.layer_id_for(matrix) for matrix in codes
         )
-        self._servers[model_id] = self._build_server(model)
+        self._bound[model_id] = model.with_backend(self.engine)
+        self.forward_counts[model_id] = [0, 0]
 
     @property
     def model_ids(self) -> List[str]:
         """Models registered on this node."""
         return list(self._models)
-
-    def server_for(self, model_id: str) -> InferenceServer:
-        """The node's serving path for one model."""
-        if model_id not in self._servers:
-            raise ConfigurationError(f"model {model_id!r} is not registered")
-        return self._servers[model_id]
 
     def layer_ids(self, model_id: str) -> Tuple[str, ...]:
         """Content-derived cache keys of the model's weight matrices."""
@@ -640,7 +647,7 @@ class ClusterNode:
         images: np.ndarray,
         input_digest: Optional[str] = None,
     ) -> NodeDispatch:
-        """Run one request through the node's serving path.
+        """Run one request: a dispatch group of one (see :meth:`execute_group`).
 
         Args:
             model_id: A model previously passed to ``register_model``.
@@ -662,82 +669,157 @@ class ClusterNode:
             ConfigurationError: The node is parked/failed, or the model is
                 not registered.
         """
+        return self.execute_group(model_id, [(images, input_digest)])[1]
+
+    def execute_group(
+        self,
+        model_id: str,
+        parts: Sequence[Tuple[np.ndarray, Optional[str]]],
+    ) -> Tuple[List[np.ndarray], NodeDispatch]:
+        """Serve same-model requests as one dispatch: the node's one body.
+
+        ``parts`` is a sequence of ``(images, input_digest)`` in queue
+        order.  The group's images run in consecutive batches of at most
+        ``max_batch_size`` (a request may straddle two batches), each
+        through :meth:`_compute_group`'s compute module: the engine-bound
+        model in EXACT mode, exact charges plus the forward memo in
+        ANALYTIC mode.
+
+        Returns the per-request prediction arrays (in ``parts`` order,
+        consecutive views of one array) and one :class:`NodeDispatch`
+        covering the whole group.
+
+        Raises:
+            ConfigurationError: The node is parked/failed, the group is
+                empty or mixes image geometries, or the model is not
+                registered.
+        """
         if self.state is not NodeState.ACTIVE:
             raise ConfigurationError(
                 f"node {self.node_id!r} is {self.state.value}; it must return "
                 "to rotation (wake/recover) before dispatching"
             )
-        if self.execution_mode is ExecutionMode.ANALYTIC:
-            return self._execute_analytic(model_id, images, input_digest)
-        return self._execute_exact(model_id, images)
-
-    def _execute_exact(self, model_id: str, images: np.ndarray) -> NodeDispatch:
-        """The full numpy forward pass through the node's inference server."""
-        server = self.server_for(model_id)
+        if not parts:
+            raise ConfigurationError("execute_group needs at least one request")
+        shape_tail = parts[0][0].shape[1:]
+        total = 0
+        for images, _ in parts:
+            if images.shape[1:] != shape_tail:
+                raise ConfigurationError(
+                    "coalesced requests must share one image geometry"
+                )
+            total += int(images.shape[0])
+        engine = self.engine
         affinity_hit = self.holds_model(model_id)
-        misses_before = self.engine.cache.misses
-        batches_before = len(server.batches)
-
-        request_id = server.submit(images)
-        server.drain()
-        result = server.result(request_id)
-
-        new_batches = server.batches[batches_before:]
-        return NodeDispatch(
-            predictions=result.predictions,
-            compute_s=self.degrade_factor
-            * sum(batch.modeled_latency_s for batch in new_batches),
-            energy_j=sum(batch.energy_j for batch in new_batches),
+        misses_before = engine.cache.misses
+        grouped, totals, spot_checked = self._compute_group(model_id, parts, total)
+        batches, compute, energy, critical = totals
+        return _part_views(grouped, parts), NodeDispatch(
+            predictions=grouped,
+            compute_s=compute,
+            energy_j=energy,
             affinity_hit=affinity_hit,
-            programmed=self.engine.cache.misses > misses_before,
-            batches=len(new_batches),
-            critical_path_cycles=sum(
-                batch.critical_path_cycles for batch in new_batches
-            ),
+            programmed=engine.cache.misses > misses_before,
+            batches=batches,
+            critical_path_cycles=critical,
+            execution_mode=self.execution_mode.value,
+            spot_checked=spot_checked,
         )
 
-    def _charge_batches(
-        self, specs: Tuple[Tuple[int, np.ndarray, str], ...], total_images: int
-    ) -> Tuple[int, float, float, int]:
-        """Charge the batched dispatches of ``total_images`` analytically.
+    def _compute_group(
+        self,
+        model_id: str,
+        parts: Sequence[Tuple[np.ndarray, Optional[str]]],
+        total: int,
+    ) -> Tuple[np.ndarray, Tuple[int, float, float, int], bool]:
+        """The swappable compute module of :meth:`execute_group`.
 
-        Mirrors the serve layer's batch formation exactly — consecutive
-        slices of at most ``max_batch_size`` images, each slice walking the
-        model's layers in forward order through
-        :meth:`~repro.core.matmul.TiledMatmulEngine.charge_dispatch` — so
-        the macro ledgers receive the same charges in the same order as a
-        real drain.  Returns (batches, compute_s, energy_j, critical sum).
+        Lands the group's charges through :meth:`_run_batches` and returns
+        (predictions of all ``total`` images in part order, the batch
+        loop's totals, whether a memo spot check ran).  Subclasses replace
+        only this hook (:class:`repro.fleet.ShadowNode` charges and hands
+        out placeholders).
+        """
+        if self.execution_mode is ExecutionMode.ANALYTIC:
+            totals = self._charge_batches(model_id, parts[0][0].shape, total)
+            predictions, spot_checked = self._memo_predict(
+                model_id,
+                self._memo_key(model_id, parts),
+                lambda: _joined(parts),
+            )
+            return predictions, totals, spot_checked
+        model = self._bound[model_id]
+        images = _joined(parts)
+        outputs: List[np.ndarray] = []
+        totals = self._run_batches(
+            total,
+            lambda start, size: outputs.append(
+                model.predict(images[start : start + size])
+            ),
+        )
+        counts = self.forward_counts[model_id]
+        counts[0] += totals[0]
+        counts[1] += total
+        return np.concatenate(outputs), totals, False
+
+    def _run_batches(
+        self, total: int, run: Callable[[int, int], object]
+    ) -> Tuple[int, float, float, int]:
+        """The node's batch loop over ``total`` images.
+
+        Consecutive slices of at most ``max_batch_size`` images;
+        ``run(start, size)`` lands one slice's charges on the engine, and
+        the ledger marks around it read what the slice cost.  Modeled time
+        folds as ``critical * cycle_time * degrade`` per batch — the one
+        formula every mode shares, and the one the router's deferred
+        charge signatures replay.  Returns (batches, compute_s, energy_j,
+        critical sum).
         """
         engine = self.engine
         cycle_time = engine.chip.cycle_time_s()
+        degrade = self.degrade_factor
         step = self.max_batch_size
         batches = 0
         compute = 0.0
         energy = 0.0
         critical_total = 0
-        start = 0
-        while start < total_images:
-            size = min(step, total_images - start)
+        for start in range(0, total, step):
             mark = engine.ledger_mark()
-            engine.charge_layers(
-                [(factor * size, codes, layer_id) for factor, codes, layer_id in specs]
-            )
+            run(start, min(step, total - start))
             _, critical, batch_energy = engine.ledger_since(mark)
             # Degradation stretches modeled time only — the work (cycles)
             # and energy ledgers are what the silicon actually switched.
-            compute += critical * cycle_time * self.degrade_factor
+            compute += critical * cycle_time * degrade
             energy += batch_energy
             critical_total += critical
             batches += 1
-            start += size
         return batches, compute, energy, critical_total
 
+    def _charge_batches(
+        self, model_id: str, image_shape: Tuple[int, ...], total: int
+    ) -> Tuple[int, float, float, int]:
+        """The batch loop with exact charges instead of a forward.
+
+        Each slice walks the model's layers in forward order through
+        :meth:`~repro.core.matmul.TiledMatmulEngine.charge_layers`, so the
+        macro ledgers receive the same charges in the same order as the
+        exact forward.
+        """
+        specs = self._layer_charge_specs(model_id, image_shape)
+        charge = self.engine.charge_layers
+        return self._run_batches(
+            total,
+            lambda start, size: charge(
+                [(factor * size, codes, layer_id) for factor, codes, layer_id in specs]
+            ),
+        )
+
     def _plain_forward(self, model_id: str, images: np.ndarray) -> np.ndarray:
-        """The numeric forward exactly as the serve layer would run it.
+        """The numeric forward exactly as the batch loop would run it.
 
         Activation quantisation scales are derived per dispatched batch, so
         a request larger than ``max_batch_size`` must be predicted in the
-        same slices the server would form — predicting it in one piece
+        same slices the batch loop forms — predicting it in one piece
         could change low-order logits.  The model runs on its own (golden
         int64) backend: bit-identical to the engine path, zero charges.
         """
@@ -791,148 +873,36 @@ class ClusterNode:
         digest = hashlib.sha256(np.ascontiguousarray(images).tobytes())
         return f"{images.shape}:{digest.hexdigest()}"
 
+    @staticmethod
     def _memo_key(
-        self, model_id: str, images: np.ndarray, input_digest: Optional[str]
+        model_id: str, parts: Sequence[Tuple[np.ndarray, Optional[str]]]
     ) -> object:
-        if input_digest is not None:
-            return (model_id, input_digest)
-        return (model_id, self._content_digest(images))
+        """The forward memo's key for a dispatch group (the one key format).
 
-    def _execute_analytic(
-        self, model_id: str, images: np.ndarray, input_digest: Optional[str]
-    ) -> NodeDispatch:
-        """Exact-charge execution: ledgers move, the numpy model (mostly) not."""
-        engine = self.engine
-        specs = self._layer_charge_specs(model_id, images.shape)
-        affinity_hit = self.holds_model(model_id)
-        misses_before = engine.cache.misses
-        batches, compute, energy, critical_total = self._charge_batches(
-            specs, int(images.shape[0])
-        )
-        predictions, spot_checked = self._memo_predict(
-            model_id, self._memo_key(model_id, images, input_digest), lambda: images
-        )
-        return NodeDispatch(
-            predictions=predictions,
-            compute_s=compute,
-            energy_j=energy,
-            affinity_hit=affinity_hit,
-            programmed=engine.cache.misses > misses_before,
-            batches=batches,
-            critical_path_cycles=critical_total,
-            execution_mode=ExecutionMode.ANALYTIC.value,
-            spot_checked=spot_checked,
-        )
-
-    def execute_group(
-        self,
-        model_id: str,
-        parts: Sequence[Tuple[np.ndarray, Optional[str]]],
-    ) -> Tuple[List[np.ndarray], NodeDispatch]:
-        """Serve several same-model requests as one coalesced dispatch.
-
-        ``parts`` is a sequence of ``(images, input_digest)`` in queue
-        order.  In EXACT mode the requests are submitted to the model's
-        inference server together and drained once, so the serve layer's
-        split/reassemble machinery forms the merged batches; in ANALYTIC
-        mode the identical batch formation is charged analytically and the
-        merged forward is memoised under the tuple of part digests (the
-        quantisation scale of a coalesced batch depends on its batchmates,
-        so per-part memo entries cannot be reused for a group).
-
-        Returns the per-request prediction arrays (in ``parts`` order) and
-        one :class:`NodeDispatch` covering the whole group.
+        A request is keyed by its digest (a content hash when it has none).
+        A coalesced group is keyed by the tuple of its part digests: the
+        quantisation scale of a merged batch depends on its batchmates, so
+        per-request entries cannot serve a group.
         """
-        if self.state is not NodeState.ACTIVE:
-            raise ConfigurationError(
-                f"node {self.node_id!r} is {self.state.value}; it must return "
-                "to rotation (wake/recover) before dispatching"
-            )
-        if not parts:
-            raise ConfigurationError("execute_group needs at least one request")
-        if self.execution_mode is ExecutionMode.ANALYTIC:
-            return self._execute_group_analytic(model_id, parts)
-        return self._execute_group_exact(model_id, parts)
-
-    def _execute_group_exact(
-        self, model_id: str, parts: Sequence[Tuple[np.ndarray, Optional[str]]]
-    ) -> Tuple[List[np.ndarray], NodeDispatch]:
-        server = self.server_for(model_id)
-        affinity_hit = self.holds_model(model_id)
-        misses_before = self.engine.cache.misses
-        batches_before = len(server.batches)
-
-        request_ids = [server.submit(images) for images, _ in parts]
-        server.drain()
-        predictions = [server.result(rid).predictions for rid in request_ids]
-
-        new_batches = server.batches[batches_before:]
-        dispatch = NodeDispatch(
-            predictions=np.concatenate(predictions),
-            compute_s=self.degrade_factor
-            * sum(batch.modeled_latency_s for batch in new_batches),
-            energy_j=sum(batch.energy_j for batch in new_batches),
-            affinity_hit=affinity_hit,
-            programmed=self.engine.cache.misses > misses_before,
-            batches=len(new_batches),
-            critical_path_cycles=sum(
-                batch.critical_path_cycles for batch in new_batches
-            ),
-        )
-        return predictions, dispatch
-
-    def _execute_group_analytic(
-        self, model_id: str, parts: Sequence[Tuple[np.ndarray, Optional[str]]]
-    ) -> Tuple[List[np.ndarray], NodeDispatch]:
-        engine = self.engine
-        first_shape = parts[0][0].shape
-        if any(images.shape[1:] != first_shape[1:] for images, _ in parts):
-            raise ConfigurationError(
-                "coalesced requests must share one image geometry"
-            )
-        specs = self._layer_charge_specs(model_id, first_shape)
-        affinity_hit = self.holds_model(model_id)
-        misses_before = engine.cache.misses
-        sizes = [int(images.shape[0]) for images, _ in parts]
-        total = sum(sizes)
-        batches, compute, energy, critical_total = self._charge_batches(specs, total)
-
-        key = (
+        if len(parts) == 1:
+            images, digest = parts[0]
+            if digest is None:
+                digest = ClusterNode._content_digest(images)
+            return (model_id, digest)
+        return (
             model_id,
             "group",
             tuple(
-                digest if digest is not None else self._content_digest(images)
+                digest if digest is not None else ClusterNode._content_digest(images)
                 for images, digest in parts
             ),
         )
-        grouped, spot_checked = self._memo_predict(
-            model_id, key, lambda: np.concatenate([images for images, _ in parts])
-        )
-        predictions: List[np.ndarray] = []
-        offset = 0
-        for size in sizes:
-            predictions.append(grouped[offset : offset + size])
-            offset += size
-        dispatch = NodeDispatch(
-            predictions=grouped,
-            compute_s=compute,
-            energy_j=energy,
-            affinity_hit=affinity_hit,
-            programmed=engine.cache.misses > misses_before,
-            batches=batches,
-            critical_path_cycles=critical_total,
-            execution_mode=ExecutionMode.ANALYTIC.value,
-            spot_checked=spot_checked,
-        )
-        return predictions, dispatch
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def park(self) -> None:
         """Take the node out of rotation (weights stay resident)."""
-        for server in self._servers.values():
-            server.stop()  # idempotent: workers may never have started
         self.state = NodeState.PARKED
 
     def wake(self) -> None:
@@ -951,14 +921,11 @@ class ClusterNode:
     def fail(self) -> None:
         """Take the node out of rotation as a fault (crash injection).
 
-        The server workers stop like a park, but the state is ``FAILED`` so
-        the autoscaler treats the node as dead capacity, not a spare.  The
-        chip's programmed weights are modeled as retained (a controller
-        crash, not a power loss): recovery costs rescheduling, not
-        re-programming.
+        Like a park, but the state is ``FAILED`` so the autoscaler treats
+        the node as dead capacity, not a spare.  The chip's programmed
+        weights are modeled as retained (a controller crash, not a power
+        loss): recovery costs rescheduling, not re-programming.
         """
-        for server in self._servers.values():
-            server.stop()
         self.state = NodeState.FAILED
 
     def recover(self) -> None:
@@ -976,17 +943,6 @@ class ClusterNode:
     def restore(self) -> None:
         """End degradation (compute time back to the binned baseline)."""
         self.degrade_factor = 1.0
-
-    def shutdown(self) -> None:
-        """Stop every server worker; safe to call repeatedly."""
-        for server in self._servers.values():
-            server.stop()
-
-    def __enter__(self) -> "ClusterNode":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------ #
     # Accounting

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tu
 import numpy as np
 
 from repro.cluster.kernel import ChargeBuffer, DispatchSig, NodeCache, SliceSig, flush_charges
-from repro.cluster.node import ClusterNode, ExecutionMode, NodeState
+from repro.cluster.node import ClusterNode, ExecutionMode, NodeState, _joined
 from repro.cluster.scheduler import (
     ClusterRequest,
     NoActiveNodesError,
@@ -901,34 +901,11 @@ class ClusterRouter:
         ordinal = len(buf.dispatches)
         buf.dispatches.append(dsig.slices)
         compute_s = dsig.compute_s(node.degrade_factor)
+        parts = [(e[_E_IMAGES], e[_E_DIGEST]) for e in group]
         try:
-            if single:
-                entry = group[0]
-                images = entry[_E_IMAGES]
-                digest = entry[_E_DIGEST]
-                key = (
-                    (model_id, digest)
-                    if digest is not None
-                    else (model_id, node._content_digest(images))
-                )
-                predictions, spot_checked = node._memo_predict(
-                    model_id, key, lambda: images
-                )
-            else:
-                key = (
-                    model_id,
-                    "group",
-                    tuple(
-                        e[_E_DIGEST]
-                        if e[_E_DIGEST] is not None
-                        else node._content_digest(e[_E_IMAGES])
-                        for e in group
-                    ),
-                )
-                grouped, spot_checked = node._memo_predict(
-                    model_id, key,
-                    lambda: np.concatenate([e[_E_IMAGES] for e in group]),
-                )
+            grouped, spot_checked = node._memo_predict(
+                model_id, node._memo_key(model_id, parts), lambda: _joined(parts)
+            )
         except Exception as error:
             self._fail_group(node_id, group, error)
             raise
@@ -951,7 +928,7 @@ class ClusterRouter:
             if single:
                 fraction = None
                 compute_share = compute_s
-                request_predictions = predictions
+                request_predictions = grouped
             else:
                 fraction = count / total
                 compute_share = compute_s * fraction
@@ -1007,17 +984,9 @@ class ClusterRouter:
         self.flush_node(node_id)
         model_id = group[0][_E_MODEL]
         try:
-            if len(group) == 1:
-                entry = group[0]
-                dispatch = node.execute(
-                    model_id, entry[_E_IMAGES], input_digest=entry[_E_DIGEST]
-                )
-                predictions = [dispatch.predictions]
-            else:
-                predictions, dispatch = node.execute_group(
-                    model_id,
-                    [(e[_E_IMAGES], e[_E_DIGEST]) for e in group],
-                )
+            predictions, dispatch = node.execute_group(
+                model_id, [(e[_E_IMAGES], e[_E_DIGEST]) for e in group]
+            )
         except Exception as error:
             self._fail_group(node_id, group, error)
             raise
@@ -1033,13 +1002,10 @@ class ClusterRouter:
         for e, request_predictions in zip(group, predictions):
             rid = e[_E_RID]
             count = e[_E_COUNT]
-            if coalesced == 1:
-                compute_share = dispatch.compute_s
-                energy_share = dispatch.energy_j
-            else:
-                fraction = count / total
-                compute_share = dispatch.compute_s * fraction
-                energy_share = dispatch.energy_j * fraction
+            # A group of one has fraction 1.0: its shares are exact.
+            fraction = count / total
+            compute_share = dispatch.compute_s * fraction
+            energy_share = dispatch.energy_j * fraction
             arrival = e[_E_ARRIVAL]
             deadline = e[_E_DEADLINE]
             latency = finish - arrival
@@ -1353,7 +1319,10 @@ class ClusterRouter:
                     max_step = ent[0]
                 if ent[3] > max_step:
                     max_step = ent[3]
-            keys = [(model_id, digest) for digest, _ in slots]
+            keys = [
+                ClusterNode._memo_key(model_id, ((images, digest),))
+                for digest, images in slots
+            ]
             for node in active:
                 entries = node.forward_memo._entries
                 for key in keys:
@@ -1682,10 +1651,8 @@ class ClusterRouter:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
-        """Settle deferred charges and stop every node's server workers."""
+        """Settle deferred charges (idempotent)."""
         self.flush_all()
-        for node in self.nodes:
-            node.shutdown()
 
     def __enter__(self) -> "ClusterRouter":
         return self

@@ -693,20 +693,36 @@ class TiledMatmulEngine:
         stretch of engine work with a mark and :meth:`ledger_since` yields
         exactly the cycles/energy that stretch added — without the
         O(macros x opcodes) cost of merging the chip ledger per read.
+        Read-disturb-injecting configurations compute on the per-lane
+        reference path, whose charges bypass the accumulators; there the
+        marks snapshot the macro ledgers themselves.
         """
+        if self.chip.config.inject_read_disturb:
+            return self._ledger_snapshot()
         return (self._energy_acc, tuple(self._macro_cycle_acc))
 
     def ledger_since(self, mark: Tuple[float, Tuple[int, ...]]) -> Tuple[int, int, float]:
         """(total_cycles, critical_path_cycles, energy_j) since a mark."""
         energy_before, cycles_before = mark
+        if self.chip.config.inject_read_disturb:
+            energy_now, cycles_now = self._ledger_snapshot()
+        else:
+            energy_now, cycles_now = self._energy_acc, self._macro_cycle_acc
         total = 0
         critical = 0
-        for after, before in zip(self._macro_cycle_acc, cycles_before):
+        for after, before in zip(cycles_now, cycles_before):
             delta = after - before
             total += delta
             if delta > critical:
                 critical = delta
-        return total, critical, self._energy_acc - energy_before
+        return total, critical, energy_now - energy_before
+
+    def _ledger_snapshot(self) -> Tuple[float, Tuple[int, ...]]:
+        """(chip energy, per-macro cycles) read off the macro ledgers."""
+        return (
+            float(self.chip.stats.total_energy_j),
+            tuple(macro.stats.total_cycles for macro in self._macros),
+        )
 
     def _dispatch_from_mark(
         self,

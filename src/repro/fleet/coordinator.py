@@ -461,17 +461,12 @@ class FleetCluster:
     def _recover_group(self, group: _InflightGroup) -> None:
         shadow = self._shadow_by_id[group.node_id]
         arrays = [self._store.array(ref.digest) for ref in group.refs]
-        if len(arrays) == 1:
-            group.targets[0][:] = shadow._plain_forward(group.model_id, arrays[0])
-        else:
-            grouped = shadow._plain_forward(
-                group.model_id, np.concatenate(arrays)
-            )
-            offset = 0
-            for target in group.targets:
-                size = target.shape[0]
-                target[:] = grouped[offset : offset + size]
-                offset += size
+        grouped = shadow._plain_forward(group.model_id, np.concatenate(arrays))
+        offset = 0
+        for target in group.targets:
+            size = target.shape[0]
+            target[:] = grouped[offset : offset + size]
+            offset += size
         self.locally_recovered += len(group.request_ids)
         self._settle_group(group)
 
@@ -677,7 +672,7 @@ class FleetCluster:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
-        """Stop workers, unlink shared memory, stop the shadows (idempotent)."""
+        """Stop workers, unlink shared memory, settle the router (idempotent)."""
         if self._shutdown_done:
             return
         self._shutdown_done = True

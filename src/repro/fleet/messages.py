@@ -112,7 +112,7 @@ class Sync:
 
 @dataclass(frozen=True)
 class Shutdown:
-    """Orderly worker exit (close pipe, stop servers, return)."""
+    """Orderly worker exit (close the pipe, return)."""
 
 
 @dataclass(frozen=True)

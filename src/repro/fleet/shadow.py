@@ -3,10 +3,11 @@
 The fleet's central design move: the coordinator runs the *unmodified*
 virtual-time admission/scheduling loop of :class:`~repro.cluster.router.
 ClusterRouter` over :class:`ShadowNode` replicas of the fleet.  A shadow
-charges every dispatch through the engine's exact-charge API
+runs the node's own dispatch body and swaps only its compute module: every
+batch is charged through the engine's exact-charge API
 (:meth:`~repro.cluster.node.ClusterNode._charge_batches` — the same path
 the analytic execution mode uses, pinned bit-identical to EXACT execution
-by ``tests/test_execution_modes.py``) but never runs a numpy forward; the
+by ``tests/test_execution_modes.py``) and never runs a numpy forward; the
 expensive forwards happen in parallel on the worker processes, whose nodes
 replay the identical dispatch sequence.
 
@@ -26,15 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.node import (
-    ClusterNode,
-    ExecutionMode,
-    NodeDispatch,
-    NodeSpec,
-    NodeState,
-)
+from repro.cluster.node import ClusterNode, ExecutionMode, NodeSpec, _part_views
 from repro.cluster.router import ClusterRouter
-from repro.errors import ConfigurationError
 
 __all__ = ["ShadowNode", "FleetRouter", "PendingGroup", "shadows_from_specs"]
 
@@ -43,9 +37,9 @@ class PendingGroup:
     """What a shadow dispatch left behind for the coordinator to ship.
 
     ``targets`` are the sentinel-filled placeholder arrays the router
-    already handed out inside results; the worker's completion is written
-    into them in place.  For a coalesced group the targets are consecutive
-    views of one backing array, matching the worker's grouped forward.
+    already handed out inside results — one per part, consecutive views of
+    the group's backing array, matching the worker's grouped forward — and
+    the worker's completion is written into them in place.
     """
 
     __slots__ = ("model_id", "parts", "targets")
@@ -54,11 +48,11 @@ class PendingGroup:
         self,
         model_id: str,
         parts: Sequence[Tuple[np.ndarray, Optional[str]]],
-        targets: List[np.ndarray],
+        grouped: np.ndarray,
     ) -> None:
         self.model_id = model_id
         self.parts = list(parts)
-        self.targets = targets
+        self.targets: List[np.ndarray] = _part_views(grouped, parts)
 
 
 class ShadowNode(ClusterNode):
@@ -66,12 +60,13 @@ class ShadowNode(ClusterNode):
 
     Built from the same :class:`~repro.cluster.node.NodeSpec` as the
     worker-side real node (``spec.build(node_cls=ShadowNode)``), so
-    pricing, residency, batching and ledger behaviour match exactly.
-    ``execute``/``execute_group`` report ``execution_mode="exact"``
-    because that is what the paired worker runs — the shadow is an
-    accounting proxy for it, not an analytic-mode node.  Its own mode is
-    EXACT for the same reason, so the router charges every shadow dispatch
-    directly and never takes the memoised analytic fast path.
+    pricing, residency, batching and ledger behaviour match exactly: it
+    runs the inherited dispatch body and overrides only the per-group
+    compute hook.  Dispatches report ``execution_mode="exact"`` because
+    that is what the paired worker runs — the shadow is an accounting proxy
+    for it, not an analytic-mode node.  Its own mode is EXACT for the same
+    reason, so the router charges every shadow dispatch directly and never
+    takes the memoised analytic fast path.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -102,87 +97,20 @@ class ShadowNode(ClusterNode):
         pending, self._pending = self._pending, None
         return pending
 
-    @staticmethod
-    def _placeholder(images: int) -> np.ndarray:
-        # Predictions are argmax class indices (always >= 0), so -1 is an
-        # impossible value: a prediction read before its completion
-        # arrived is loudly wrong instead of silently plausible.
-        return np.full((images,), -1, dtype=np.int64)
-
-    def _require_active(self) -> None:
-        if self.state is not NodeState.ACTIVE:
-            raise ConfigurationError(
-                f"node {self.node_id!r} is {self.state.value}; it must return "
-                "to rotation (wake/recover) before dispatching"
-            )
-
-    def execute(
-        self,
-        model_id: str,
-        images: np.ndarray,
-        input_digest: Optional[str] = None,
-    ) -> NodeDispatch:
-        """Charge one request's accounting; predictions stay sentinel-filled."""
-        self._require_active()
-        specs = self._layer_charge_specs(model_id, images.shape)
-        affinity_hit = self.holds_model(model_id)
-        misses_before = self.engine.cache.misses
-        batches, compute, energy, critical = self._charge_batches(
-            specs, int(images.shape[0])
-        )
-        placeholder = self._placeholder(int(images.shape[0]))
-        self._pending = PendingGroup(
-            model_id, [(images, input_digest)], [placeholder]
-        )
-        return NodeDispatch(
-            predictions=placeholder,
-            compute_s=compute,
-            energy_j=energy,
-            affinity_hit=affinity_hit,
-            programmed=self.engine.cache.misses > misses_before,
-            batches=batches,
-            critical_path_cycles=critical,
-            execution_mode=ExecutionMode.EXACT.value,
-        )
-
-    def execute_group(
+    def _compute_group(
         self,
         model_id: str,
         parts: Sequence[Tuple[np.ndarray, Optional[str]]],
-    ) -> Tuple[List[np.ndarray], NodeDispatch]:
-        """Charge a coalesced group; per-part targets stay sentinel-filled."""
-        self._require_active()
-        if not parts:
-            raise ConfigurationError("execute_group needs at least one request")
-        first_shape = parts[0][0].shape
-        if any(images.shape[1:] != first_shape[1:] for images, _ in parts):
-            raise ConfigurationError(
-                "coalesced requests must share one image geometry"
-            )
-        specs = self._layer_charge_specs(model_id, first_shape)
-        affinity_hit = self.holds_model(model_id)
-        misses_before = self.engine.cache.misses
-        sizes = [int(images.shape[0]) for images, _ in parts]
-        total = sum(sizes)
-        batches, compute, energy, critical = self._charge_batches(specs, total)
-        grouped = self._placeholder(total)
-        targets: List[np.ndarray] = []
-        offset = 0
-        for size in sizes:
-            targets.append(grouped[offset : offset + size])
-            offset += size
-        self._pending = PendingGroup(model_id, parts, targets)
-        dispatch = NodeDispatch(
-            predictions=grouped,
-            compute_s=compute,
-            energy_j=energy,
-            affinity_hit=affinity_hit,
-            programmed=self.engine.cache.misses > misses_before,
-            batches=batches,
-            critical_path_cycles=critical,
-            execution_mode=ExecutionMode.EXACT.value,
-        )
-        return targets, dispatch
+        total: int,
+    ) -> Tuple[np.ndarray, Tuple[int, float, float, int], bool]:
+        """Charge the group; its predictions stay sentinel-filled."""
+        totals = self._charge_batches(model_id, parts[0][0].shape, total)
+        # Predictions are argmax class indices (always >= 0), so -1 is an
+        # impossible value: a prediction read before its completion
+        # arrived is loudly wrong instead of silently plausible.
+        grouped = np.full((total,), -1, dtype=np.int64)
+        self._pending = PendingGroup(model_id, parts, grouped)
+        return grouped, totals, False
 
 
 class FleetRouter(ClusterRouter):

@@ -140,24 +140,14 @@ def worker_main(config: WorkerConfig, conn) -> None:
                     tensor_fetches.labels(rank=str(config.rank), outcome="miss").inc(
                         reader.misses - misses_before
                     )
-                    if len(arrays) == 1:
-                        dispatch = node.execute(
-                            message.model_id,
-                            arrays[0],
-                            input_digest=message.digests[0],
-                        )
-                        predictions = (dispatch.predictions,)
-                    else:
-                        parts, _ = node.execute_group(
-                            message.model_id,
-                            list(zip(arrays, message.digests)),
-                        )
-                        predictions = tuple(parts)
+                    predictions, _ = node.execute_group(
+                        message.model_id, list(zip(arrays, message.digests))
+                    )
                     groups_done += 1
                     groups_counter.inc()
                     requests_counter.inc(len(message.request_ids))
                     images_counter.inc(sum(a.shape[0] for a in arrays))
-                    replies.append(Completion(message.seq, predictions))
+                    replies.append(Completion(message.seq, tuple(predictions)))
                 elif isinstance(message, RegisterModel):
                     for node in nodes.values():
                         node.register_model(
@@ -209,6 +199,3 @@ def worker_main(config: WorkerConfig, conn) -> None:
         except (OSError, ValueError):
             pass
         raise
-    finally:
-        for node in nodes.values():
-            node.shutdown()

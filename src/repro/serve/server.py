@@ -201,7 +201,6 @@ class InferenceServer:
         self._next_request_id = 0
         self._batches: List[BatchRecord] = []
         self._results: List[RequestResult] = []
-        self._images_served = 0
         self._failed: Dict[int, BaseException] = {}
         self._worker: Optional[threading.Thread] = None
         self._stop_requested = False
@@ -323,13 +322,6 @@ class InferenceServer:
         batch_index = len(self._batches)
         engine = self.engine
         chip = engine.chip
-        # The engine's running accumulators mirror every charge it lands in
-        # the macro ledgers, so bracketing the forward pass with a mark is
-        # O(macros) instead of merging the whole chip ledger twice per
-        # batch.  Disturb-injecting configurations execute on the per-lane
-        # reference path, whose charges bypass the accumulators — those
-        # keep the (slower) chip-ledger snapshot accounting.
-        disturb = chip.config.inject_read_disturb
         start_s = time.perf_counter()
         try:
             # Everything from coalescing to the forward pass can fail (e.g.
@@ -338,28 +330,14 @@ class InferenceServer:
             images = np.concatenate(
                 [req.images[start:stop] for req, start, stop in plan]
             )
-            if disturb:
-                cycles_before = [m.stats.total_cycles for m in chip.macros]
-                energy_before = float(chip.stats.total_energy_j)
-            else:
-                mark = engine.ledger_mark()
+            mark = engine.ledger_mark()
             predictions = self.model.predict(images)
         except Exception as error:
             self._fail_batch(plan, error)
             raise
         host_wall = time.perf_counter() - start_s
         self._busy_s += host_wall
-
-        if disturb:
-            per_macro = [
-                m.stats.total_cycles - before
-                for m, before in zip(chip.macros, cycles_before)
-            ]
-            total_cycles = int(sum(per_macro))
-            critical = int(max(per_macro, default=0))
-            energy_j = float(chip.stats.total_energy_j) - energy_before
-        else:
-            total_cycles, critical, energy_j = engine.ledger_since(mark)
+        total_cycles, critical, energy_j = engine.ledger_since(mark)
         utilization = (
             total_cycles / (chip.num_macros * critical) if critical else 0.0
         )
@@ -380,7 +358,6 @@ class InferenceServer:
         done_s = time.perf_counter()
         with self._lock:
             self._batches.append(record)
-            self._images_served += record.images
             for request, start, stop in plan:
                 pending = self._pending[request.request_id]
                 pending.predictions.append(predictions[offset : stop - start + offset])
@@ -494,9 +471,7 @@ class InferenceServer:
         """Drain the queue and stop the background worker (idempotent).
 
         Safe to call any number of times, before :meth:`start`, after a
-        previous :meth:`stop`, and from ``__exit__`` — the cluster node
-        lifecycle parks and re-parks nodes without tracking whether their
-        servers ever ran a worker.
+        previous :meth:`stop`, and from ``__exit__``.
         """
         worker = self._worker
         if worker is None:
@@ -532,24 +507,6 @@ class InferenceServer:
     def results(self) -> List[RequestResult]:
         """Per-request results (in completion order)."""
         return list(self._results)
-
-    def counters(self) -> Dict[str, float]:
-        """O(1) serving totals for scrape-time observability collectors.
-
-        Unlike :meth:`report` (which walks every batch and result record),
-        this reads only running totals and list lengths, so a metrics
-        collector can poll it per scrape without touching the per-batch
-        history (see ``docs/OBSERVABILITY.md``).
-        """
-        with self._lock:
-            return {
-                "requests_completed": float(len(self._results)),
-                "batches": float(len(self._batches)),
-                "images_served": float(self._images_served),
-                "pending_images": float(
-                    sum(request.remaining for request in self._queue)
-                ),
-            }
 
     def report(self) -> ServerReport:
         """Aggregate everything served so far."""

@@ -714,9 +714,7 @@ class ObjectRouter:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
-        """Stop every node's server workers (idempotent)."""
-        for node in self.nodes:
-            node.shutdown()
+        """Nothing to release: node forwards are synchronous (idempotent)."""
 
     def __enter__(self) -> "ObjectRouter":
         return self

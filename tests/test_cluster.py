@@ -187,18 +187,22 @@ class TestClusterNode:
         assert dispatch.programmed
         assert node.ledger().total_cycles > cycles_before
 
-    def test_retune_stops_old_server_workers(self, trained):
-        _, model_a, _ = trained
+    def test_retune_rebinds_exact_forwards_to_the_new_engine(self, trained):
+        dataset, model_a, _ = trained
         node = _node("n", 0.6)
         node.register_model("m", model_a)
-        old_server = node.server_for("m")
-        old_server.start()
+        node.execute("m", dataset.test_images[:2])
+        retired = node.engine
+        retired_calls = retired.counters.matmul_calls
         node.retune(1.0)
-        # The retired engine's worker must not linger for the process
-        # lifetime; the rebuilt server is a fresh object.
-        assert old_server._worker is None
-        assert node.server_for("m") is not old_server
-        node.shutdown()
+        assert node.engine is not retired
+        dispatch = node.execute("m", dataset.test_images[:2])
+        # The forward ran (and charged) on the rebuilt engine only.
+        assert retired.counters.matmul_calls == retired_calls
+        assert node.engine.counters.matmul_calls == retired_calls
+        assert node.chip.stats.total_energy_j == pytest.approx(
+            dispatch.energy_j, rel=1e-12
+        )
 
     def test_retune_to_same_vdd_is_a_no_op(self, trained):
         dataset, model_a, _ = trained
@@ -215,12 +219,6 @@ class TestClusterNode:
         node = ClusterNode("n", precision_bits=4, config=MacroConfig())
         assert node.chip.precision_bits == 4
         assert ClusterNode("m").chip.precision_bits == 8  # default unchanged
-
-    def test_context_manager_shutdown_is_idempotent(self, trained):
-        _, model_a, _ = trained
-        with _node("n", 0.9) as node:
-            node.register_model("m", model_a)
-        node.shutdown()  # safe to repeat after __exit__
 
 
 class TestScheduling:

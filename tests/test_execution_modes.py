@@ -9,6 +9,8 @@ whole ``cluster_scheduling_study``.
 """
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,17 +135,27 @@ class TestNodeFidelity:
             node.register_model("cnn", cnn)
         return exact, analytic
 
-    def test_execute_matches_exact_including_split_batches(self, trained):
+    @pytest.mark.parametrize(
+        "max_batch_size, degrade",
+        [(4, None), (3, 1.1), (4, 1.3), (5, 1.25)],
+        ids=["nom", "deg-b3", "deg-b4", "deg-b5"],
+    )
+    def test_execute_matches_exact_including_split_batches(
+        self, trained, max_batch_size, degrade
+    ):
         dataset, cnn = trained
-        exact, analytic = self._pair(cnn, max_batch_size=4)
-        images = dataset.test_images[:11]  # forces a 4/4/3 split
+        exact, analytic = self._pair(cnn, max_batch_size=max_batch_size)
+        if degrade is not None:
+            for node in (exact, analytic):
+                node.degrade(degrade)
+        images = dataset.test_images[:11]  # split into 3 to 4 batches
         for _ in range(2):  # cold then warm
             de = exact.execute("cnn", images)
             da = analytic.execute("cnn", images, input_digest="probe")
             assert np.array_equal(de.predictions, da.predictions)
             assert de.compute_s == da.compute_s
             assert de.energy_j == da.energy_j
-            assert de.batches == da.batches == 3
+            assert de.batches == da.batches == -(-11 // max_batch_size)
             assert de.critical_path_cycles == da.critical_path_cycles
             assert (de.programmed, de.affinity_hit) == (da.programmed, da.affinity_hit)
         assert exact.engine.statistics() == analytic.engine.statistics()
@@ -165,6 +177,45 @@ class TestNodeFidelity:
         assert de.energy_j == da.energy_j
         assert de.batches == da.batches
         assert exact.engine.statistics() == analytic.engine.statistics()
+
+    def test_exact_node_on_disturb_config_reports_its_ledger_delta(self):
+        # Disturb configurations compute on the per-lane reference path,
+        # whose charges bypass the engine's running accumulators; the
+        # node's ledger marks must still see them.
+        dataset = make_pattern_image_dataset(samples=40, size=5, seed=3)
+        cnn, _ = train_pattern_cnn(
+            dataset, conv_channels=(2,), hidden_sizes=(4,), epochs=2, seed=3
+        )
+        config = MacroConfig(precision_bits=8, inject_read_disturb=True, seed=5)
+        node = ClusterNode("disturb", num_macros=2, config=config)
+        node.register_model("cnn", cnn)
+        dispatch = node.execute("cnn", dataset.test_images[:1])
+        per_macro = [macro.stats.total_cycles for macro in node.chip.macros]
+        assert dispatch.critical_path_cycles == max(per_macro) > 0
+        assert dispatch.energy_j == node.chip.stats.total_energy_j > 0
+        assert dispatch.compute_s == max(per_macro) * node.cycle_time_s > 0
+
+    def test_exact_node_does_not_age(self, trained):
+        # A dispatch must not leave per-request or per-batch records behind:
+        # a long-lived exact node keeps a constant footprint.
+        dataset, cnn = trained
+        node = ClusterNode("exact", vdd=0.9, num_macros=16, max_batch_size=8)
+        node.register_model("cnn", cnn)
+        parts = [(dataset.test_images[:1], None), (dataset.test_images[1:3], None)]
+        dispatches = 2000
+        for _ in range(50):
+            node.execute_group("cnn", parts)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(dispatches):
+                node.execute_group("cnn", parts)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * dispatches
 
     def test_memo_runs_model_once_per_unique_digest(self, trained):
         dataset, cnn = trained

@@ -588,8 +588,6 @@ class TestClusterInstrumentation:
         assert sum(s["value"] for s in images) == 7.0
         batches = metrics["serve_batches_total"]["samples"]
         assert sum(s["value"] for s in batches) >= 4.0
-        pending = metrics["serve_pending_images"]["samples"]
-        assert all(s["value"] == 0.0 for s in pending)
 
     def test_node_state_and_bin_gauges(self, observed):
         router, _, _, snap = observed
