@@ -37,7 +37,6 @@ from repro.cluster import (
     ExecutionMode,
     build_image_pool,
     poisson_trace,
-    replay,
 )
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
 from repro.fleet import FleetCluster
@@ -126,7 +125,7 @@ def _run_single(cnn, pool, trace):
     with ClusterRouter(_make_nodes()) as router:
         router.register_model("cnn", cnn)
         _warm(router, pool)
-        stats = replay(router, trace, pool, drain_every=64)
+        stats = router.replay_trace(trace, pool, drain_every=64)
         return _collect(router, stats)
 
 

@@ -45,7 +45,6 @@ from repro.cluster import (
     build_image_pool,
     burst_trace,
     poisson_trace,
-    replay,
 )
 from repro.dnn.pipeline import QuantizedCNN, make_pattern_image_dataset, train_pattern_cnn
 
@@ -155,7 +154,7 @@ def _run(cnn, pool, trace, mode, coalesce=False, coalesce_affinity=False, drain_
             router.drain()
         forwards, misses = cnn.forwards, memo.misses
         spot_checks = sum(node.spot_checks for node in nodes)
-        stats = replay(router, trace, pool, drain_every=drain_every)
+        stats = router.replay_trace(trace, pool, drain_every=drain_every)
         stats["memo_entries"] = float(len(memo))
         stats["memo_hits"] = float(memo.hits)
         # Counted over the timed replay only (the warm-up fills the memo).

@@ -1063,7 +1063,6 @@ def million_request_trace_study(
         burst_trace,
         diurnal_trace,
         poisson_trace,
-        replay,
     )
     from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
 
@@ -1176,7 +1175,7 @@ def million_request_trace_study(
         with ClusterRouter(nodes) as router:
             for model_id, model in models.items():
                 router.register_model(model_id, model)
-            stats = replay(router, trace, pool, drain_every=drain_every)
+            stats = router.replay_trace(trace, pool, drain_every=drain_every)
 
             telemetry = router.telemetry
             fleet_summary = telemetry.summary()
@@ -1364,7 +1363,6 @@ def fleet_reliability_study(
         SLAScheduler,
         build_image_pool,
         poisson_trace,
-        replay,
     )
     from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
     from repro.reliability import ChipBinner
@@ -1455,8 +1453,8 @@ def fleet_reliability_study(
             )
             for model_id, model in models.items():
                 router.register_model(model_id, model)
-            stats = replay(
-                router, trace, pool, drain_every=drain_every, autoscaler=autoscaler
+            stats = router.replay_trace(
+                trace, pool, drain_every=drain_every, autoscaler=autoscaler
             )
 
             telemetry = router.telemetry

@@ -14,7 +14,8 @@ mode (:class:`ExecutionMode` — exact-charge dispatches via the engine's
 telemetry), the router's columnar discrete-event core (deferred charges,
 batch replay chunks) and the vectorized workload generators of
 :mod:`repro.cluster.workload` (Poisson / diurnal / burst traces, replayed
-in arrival order).
+in arrival order by :meth:`ClusterRouter.replay_trace`, the one replay
+loop).
 
 Typical wiring::
 
@@ -44,7 +45,6 @@ from repro.cluster.node import (
 )
 from repro.cluster.router import ClusterResult, ClusterRouter
 from repro.cluster.scheduler import (
-    ClusterRequest,
     NoActiveNodesError,
     PlacementDecision,
     SLAClass,
@@ -57,12 +57,10 @@ from repro.cluster.workload import (
     burst_trace,
     diurnal_trace,
     poisson_trace,
-    replay,
 )
 
 __all__ = [
     "ClusterNode",
-    "ClusterRequest",
     "ClusterResult",
     "ClusterRouter",
     "ColumnarTelemetry",
@@ -86,5 +84,4 @@ __all__ = [
     "diurnal_trace",
     "model_weight_codes",
     "poisson_trace",
-    "replay",
 ]

@@ -5,9 +5,11 @@ instances at heterogeneous supply-voltage operating points and runs the
 serving loop in *modeled (virtual) time*:
 
 * :meth:`~ClusterRouter.submit` admits a request tagged with an SLA class,
-  places it (the :class:`~repro.cluster.scheduler.SLAScheduler` ranking)
-  and *reserves* the node's virtual clock by the request's modeled cost —
-  so the next placement sees the backlog it would queue behind;
+  places it (:meth:`~repro.cluster.scheduler.SLAScheduler.choose` ranks the
+  router's cached per-node estimate bundles — the one ranking every
+  placement and crash/park re-placement goes through) and *reserves* the
+  node's virtual clock by the request's modeled cost — so the next
+  placement sees the backlog it would queue behind;
 * :meth:`~ClusterRouter.dispatch_next` / :meth:`~ClusterRouter.drain`
   execute queued requests in earliest-start order, advance each node's
   completion clock by the *measured* modeled compute time, and record one
@@ -35,12 +37,15 @@ The router is one discrete-event kernel built for million-request traces:
   results back after every drain (the gateway's pattern), where the router
   charges each dispatch directly because a flush per small drain costs more
   than it saves;
-* :meth:`~ClusterRouter.replay_trace` runs steady-state chunks of an
-  aggregate-only replay as one batch admission + dispatch pass (turbo).
+* :meth:`~ClusterRouter.replay_trace` is the one trace-replay loop: it
+  admits and drains a workload trace in bounded chunks, and runs
+  steady-state chunks of an aggregate-only replay as one batch admission +
+  dispatch pass (turbo).
 
 Anything the fast paths cannot replicate bit-exactly — cold programming,
-EXACT mode, custom scheduler subclasses, execution failures — falls back
-to the plain node/scheduler calls.  ``tests/oracle/`` keeps a frozen
+EXACT mode, a scheduler subclass (turbo inlines the stock ranking),
+execution failures — falls back to the plain per-request node and
+scheduler calls.  ``tests/oracle/`` keeps a frozen
 per-request object router as the differential reference every path is
 checked against.  Direct node-level reads (``node.ledger()`` mid-run) may
 observe deferred charges; any router-level read settles first.
@@ -49,6 +54,7 @@ observe deferred charges; any router-level read settles first.
 from __future__ import annotations
 
 import heapq
+import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -59,13 +65,13 @@ import numpy as np
 from repro.cluster.kernel import ChargeBuffer, DispatchSig, NodeCache, SliceSig, flush_charges
 from repro.cluster.node import ClusterNode, ExecutionMode, NodeState, _joined
 from repro.cluster.scheduler import (
-    ClusterRequest,
     NoActiveNodesError,
     PlacementDecision,
     SLAClass,
     SLAScheduler,
 )
 from repro.cluster.telemetry import ColumnarTelemetry, RequestTrace
+from repro.cluster.workload import SLA_ORDER
 from repro.core.stats import MacroStatistics
 from repro.errors import ConfigurationError
 from repro.reliability.faults import FaultEvent, FaultKind, FaultPlan
@@ -76,12 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ClusterResult", "ClusterRouter"]
 
-#: ``sla_indices`` decoding used by workload traces (= workload.SLA_ORDER).
-_SLA_VALUES = (
-    SLAClass.LATENCY.value,
-    SLAClass.THROUGHPUT.value,
-    SLAClass.BEST_EFFORT.value,
-)
+#: ``sla_indices`` decoding of workload traces, as telemetry values.
+_SLA_VALUES = tuple(sla.value for sla in SLA_ORDER)
 _SLA_BY_VALUE = {sla.value: sla for sla in SLAClass}
 
 #: Queue entry layout: (request_id, model_id, images, sla, arrival_s,
@@ -92,10 +94,6 @@ _E_DIGEST, _E_COUNT, _E_SPAN, _E_FEASIBLE = 6, 7, 8, 9
 #: Input digests whose images passed the finiteness check, kept so a
 #: recurring tensor is scanned once; the set is cleared when it fills.
 _FINITE_DIGESTS = 4096
-
-#: Decision layout: (node_id, sla, feasible, affinity_hit, replicated,
-#: est_start_s, est_finish_s, est_latency_s, est_energy_per_image_j,
-#: candidates) — materialized into PlacementDecision on demand.
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,9 @@ class ClusterRouter:
 
     Args:
         nodes: The fleet (unique node ids).
-        scheduler: Placement policy; a stock :class:`SLAScheduler` is
-            ranked inline, subclasses through their own ``choose``.
+        scheduler: Placement policy; its ``choose`` ranks every
+            placement (turbo replay chunks, which inline the stock
+            ranking, run only for a stock :class:`SLAScheduler`).
         telemetry: The trace log (a fresh :class:`ColumnarTelemetry` when
             omitted).
         coalesce: Merge consecutive queued same-model requests into one
@@ -172,8 +171,6 @@ class ClusterRouter:
         self.telemetry = telemetry
         self.coalesce = coalesce
         self.retain_results = retain_results
-        #: Subclassed schedulers get the generic ``choose`` path.
-        self._fast_sched = type(self.scheduler) is SLAScheduler
         #: The plan is immutable and shared; the router keeps its own cursor.
         self.fault_plan = fault_plan
         self._fault_events: Tuple[FaultEvent, ...] = (
@@ -209,6 +206,8 @@ class ClusterRouter:
         self.replayed_placements = 0
         self._next_rid = 0
         self._finite_digests: Set[str] = set()
+        #: request_id -> SLAScheduler.choose's decision tuple, materialized
+        #: into a PlacementDecision on demand.
         self._decisions: Dict[int, tuple] = {}
         self._failed: Dict[int, BaseException] = {}
         #: request_id -> (telemetry row index, predictions); results are
@@ -418,29 +417,22 @@ class ClusterRouter:
                 (max(self._completed[node_id], queue[0][_E_ARRIVAL]), node_id),
             )
 
-    def _pending_nodes(self, model_id: str) -> frozenset:
-        counts = self._pending_by_model.get(model_id)
-        if not counts:
-            return frozenset()
-        return frozenset(counts)
-
     # ------------------------------------------------------------------ #
     # Placement
     # ------------------------------------------------------------------ #
-    def _choose_fast(self, model_id, images, sla, arrival, deadline) -> tuple:
-        """Inlined :meth:`SLAScheduler.choose` over cached estimate bundles.
+    def _place(self, model_id, images, sla, arrival, deadline) -> tuple:
+        """Price every active node and let the scheduler rank the bundles.
 
-        Value- and order-identical to the scheduler: same candidate order
-        (fleet order, active only), same ranking keys, same first-minimum
-        tie-breaks, same pool restrictions.
+        One ``(node, estimate, modeled finish, hazard)`` bundle per active
+        node, in fleet order, with the estimate served from the node cache;
+        returns :meth:`SLAScheduler.choose`'s decision tuple.
         """
-        scheduler = self.scheduler
         scored = []
+        key = (model_id, images.shape)
         for node in self.nodes:
             if node.state is not NodeState.ACTIVE:
                 continue
             nc = self._node_cache(node)
-            key = (model_id, images.shape)
             est = nc.estimates.get(key)
             if est is None:
                 est = node.estimate_request(model_id, images)
@@ -453,112 +445,9 @@ class ClusterRouter:
             raise NoActiveNodesError(
                 "no active nodes: wake a parked node before submitting"
             )
-        pending = self._pending_by_model.get(model_id)
-        hw = scheduler.hazard_weight
-
-        if sla is SLAClass.LATENCY:
-            best = best_key = None
-            any_feasible = False
-            for e in scored:
-                lat = e[2] - arrival
-                feasible = lat <= deadline
-                if feasible and not any_feasible:
-                    any_feasible = True
-                    best = best_key = None
-                if any_feasible and not feasible:
-                    continue
-                k = (lat * (1.0 + hw * e[3]), e[1].energy_j, e[0].node_id)
-                if best_key is None or k < best_key:
-                    best, best_key = e, k
-            node, est, finish, _ = best
-            is_feasible = any_feasible
-            has_resident = any(
-                e[1].resident or (pending and e[0].node_id in pending)
-                for e in scored
-            )
-        else:
-            resident = [
-                e for e in scored
-                if e[1].resident or (pending and e[0].node_id in pending)
-            ]
-            hot = (
-                self.telemetry.recent_model_dispatches(model_id)
-                >= scheduler.hot_threshold
-            )
-            if not resident:
-                pool = scored
-            else:
-                spreading = (
-                    hot
-                    and len(resident) < scheduler.max_replicas
-                    and len(resident) < len(scored)
-                )
-                pool = (
-                    [e for e in scored if not e[1].resident]
-                    if spreading
-                    else resident
-                )
-            if scheduler.coalesce_affinity and pending:
-                mergeable = [e for e in pool if e[0].node_id in pending]
-                if mergeable:
-                    pool = mergeable
-            best = best_key = None
-            if sla is SLAClass.THROUGHPUT:
-                for e in pool:
-                    k = (
-                        e[1].energy_per_image_j * (1.0 + hw * e[3]),
-                        e[2],
-                        e[0].node_id,
-                    )
-                    if best_key is None or k < best_key:
-                        best, best_key = e, k
-            else:  # BEST_EFFORT
-                for e in pool:
-                    k = (
-                        (max(e[0].available_s, arrival) - arrival)
-                        * (1.0 + hw * e[3]),
-                        e[3],
-                        e[0].node_id,
-                    )
-                    if best_key is None or k < best_key:
-                        best, best_key = e, k
-            node, est, finish, _ = best
-            is_feasible = True
-            has_resident = bool(resident)
-        return (
-            node.node_id,
-            sla,
-            is_feasible,
-            est.resident,
-            bool(has_resident) and not est.resident,
-            max(node.available_s, arrival),
-            finish,
-            est.latency_s,
-            est.energy_per_image_j,
-            len(scored),
-        )
-
-    def _choose_generic(
-        self, rid, model_id, images, sla, arrival, deadline, digest
-    ) -> tuple:
-        """Oracle path for subclassed schedulers: real ClusterRequest + choose."""
-        request = ClusterRequest(
-            request_id=rid,
-            model_id=model_id,
-            images=images,
-            sla=sla,
-            arrival_s=arrival,
-            deadline_s=deadline,
-            input_digest=digest,
-        )
-        d = self.scheduler.choose(
-            request, self.nodes, self.telemetry,
-            pending=self._pending_nodes(model_id),
-        )
-        return (
-            d.node_id, d.sla, d.feasible, d.affinity_hit, d.replicated,
-            d.est_start_s, d.est_finish_s, d.est_latency_s,
-            d.est_energy_per_image_j, d.candidates,
+        return self.scheduler.choose(
+            scored, model_id, sla, arrival, deadline,
+            self._pending_by_model.get(model_id), self.telemetry,
         )
 
     # ------------------------------------------------------------------ #
@@ -582,8 +471,9 @@ class ClusterRouter:
             model_id: A model previously passed to ``register_model``.
             images: ``(batch, channels, height, width)`` float64 tensor
                 of finite values.
-            sla: The request's service class (latency / throughput /
-                best effort).
+            sla: The request's service class, an :class:`SLAClass` member
+                (latency / throughput / best effort); anything else is
+                refused before admission.
             deadline_s: Virtual-time deadline; required for (and only
                 meaningful to) the latency class.
             arrival_s: Pins the request's position on the virtual clock
@@ -609,6 +499,10 @@ class ClusterRouter:
                 if len(self._finite_digests) >= _FINITE_DIGESTS:
                     self._finite_digests.clear()
                 self._finite_digests.add(input_digest)
+        if not isinstance(sla, SLAClass):
+            # A wire name ("latency") would skip the deadline check, rank
+            # as best effort and then fail its dispatch's telemetry row.
+            raise ConfigurationError(f"sla must be an SLAClass member, got {sla!r}")
         if sla is SLAClass.LATENCY:
             if deadline_s is None or deadline_s <= 0:
                 raise ConfigurationError("latency-class requests need a positive deadline_s")
@@ -624,12 +518,7 @@ class ClusterRouter:
         rid = self._next_rid
         self._next_rid += 1
         try:
-            if self._fast_sched:
-                decision = self._choose_fast(model_id, images, sla, arrival, deadline_s)
-            else:
-                decision = self._choose_generic(
-                    rid, model_id, images, sla, arrival, deadline_s, input_digest
-                )
+            decision = self._place(model_id, images, sla, arrival, deadline_s)
         except NoActiveNodesError:
             if NodeState.FAILED not in [node.state for node in self.nodes]:
                 # A fully *parked* fleet is an operator decision and still
@@ -732,17 +621,10 @@ class ClusterRouter:
         node.available_s = self._completed[node_id]
         for index, entry in enumerate(stranded):
             try:
-                if self._fast_sched:
-                    decision = self._choose_fast(
-                        entry[_E_MODEL], entry[_E_IMAGES], entry[_E_SLA],
-                        entry[_E_ARRIVAL], entry[_E_DEADLINE],
-                    )
-                else:
-                    decision = self._choose_generic(
-                        entry[_E_RID], entry[_E_MODEL], entry[_E_IMAGES],
-                        entry[_E_SLA], entry[_E_ARRIVAL], entry[_E_DEADLINE],
-                        entry[_E_DIGEST],
-                    )
+                decision = self._place(
+                    entry[_E_MODEL], entry[_E_IMAGES], entry[_E_SLA],
+                    entry[_E_ARRIVAL], entry[_E_DEADLINE],
+                )
             except NoActiveNodesError:
                 for item in stranded[index:]:
                     self._enqueue(node_id, item)
@@ -1131,24 +1013,33 @@ class ClusterRouter:
     ) -> Dict[str, float]:
         """Stream a workload trace through the router in arrival order.
 
-        Same observable behaviour as :func:`repro.cluster.workload.replay`
-        — same round-robin pool slots, same admission order, same drain
-        cadence, same autoscaler observation points — but each
-        ``drain_every`` chunk whose steady-state preconditions hold (stock
-        scheduler, no coalescing, ``retain_results=False``, every chunk
-        model warm and resident on every active node, all pool digests
-        memoised, no fault due inside the chunk's horizon, no autoscaler)
-        runs a specialised batch admission+dispatch loop: array-backed
-        reservation and completion chains, one telemetry append and one
-        memo/ledger write-back per chunk instead of per request.  Chunks
-        that fail a precondition take the per-request submit/drain loop,
-        so mixing chunks preserves bit-exactness.
+        The cluster's one trace-replay loop.  Requests draw their images
+        round-robin from the pool's distinct slots (the slot digest rides
+        along as ``input_digest``), and the backlog is drained every
+        ``drain_every`` admissions — bounded queues keep the per-dispatch
+        reservation re-chaining cheap and mirror a live router that serves
+        while it admits.  ``autoscaler`` (a
+        :class:`~repro.cluster.autoscale.ReactiveAutoscaler`) observes
+        before every chunk's drain, while the chunk's backlog is still
+        queued, so fleet reshaping — including waking spares under the
+        failure pressure of an injected crash — happens inside the serving
+        loop.
+
+        Each ``drain_every`` chunk whose steady-state preconditions hold
+        (stock scheduler, no coalescing, ``retain_results=False``, every
+        chunk model warm and resident on every active node, all pool
+        digests memoised, no fault due inside the chunk's horizon, no
+        autoscaler) runs a specialised batch admission+dispatch loop
+        (turbo): array-backed reservation and completion chains, one
+        telemetry append and one memo/ledger write-back per chunk instead
+        of per request.  Chunks that fail a precondition take the
+        per-request submit/drain loop, so mixing chunks preserves
+        bit-exactness.
+
+        Returns flat replay statistics, including the wall-clock
+        requests/sec of the whole loop.
         """
-        import time
-
         check_positive("drain_every", drain_every)
-        from repro.cluster.workload import SLA_ORDER
-
         arr = trace.arrivals_s.tolist()
         cnt = trace.image_counts.tolist()
         mi = trace.model_indices.tolist()
@@ -1193,7 +1084,8 @@ class ClusterRouter:
                         input_digest=digest,
                     )
                 if end - pos == drain_every:
-                    # Observe *before* draining, exactly like replay().
+                    # Observe *before* draining: queue depth (and therefore
+                    # failure pressure) is visible while the backlog is real.
                     if autoscaler is not None:
                         autoscaler.observe()
                     self.drain()
@@ -1265,7 +1157,7 @@ class ClusterRouter:
         """
         if (
             self.retain_results
-            or not self._fast_sched
+            or type(self.scheduler) is not SLAScheduler
             or self.coalesce
             or self.scheduler.coalesce_affinity
         ):
@@ -1367,11 +1259,11 @@ class ClusterRouter:
     def _turbo_chunk(self, ctx, arr, si, dl, pos, end, slot_cursor):
         """One chunk of batch admission + per-node dispatch passes.
 
-        Replicates `_choose_fast` -> `_enqueue` -> `_select_head` ->
+        Replicates `_place` -> `_enqueue` -> `_select_head` ->
         `_dispatch_fast` value- and order-identically for the steady state
         the context validated.  Admission walks the chunk once with the
         same ranking keys, float op order and first-minimum tie-breaks as
-        `_choose_fast`.  Dispatch then runs one tight FIFO pass per node —
+        the stock `SLAScheduler.choose`.  Dispatch then runs one tight FIFO pass per node —
         each node's start/finish chain depends only on its own queue, not
         on the cross-node interleave — and recovers the heap's exact
         merged order, min ``(max(completed, arrival), node_id)``, with a
@@ -1388,7 +1280,7 @@ class ClusterRouter:
         appends = [p.append for p in pend]
         rid = self._next_rid
         bk0 = bk1 = bk2 = bfin = None
-        # --- admission: _choose_fast over the chunk's table constants --- #
+        # --- admission: the stock ranking over the chunk's constants --- #
         for a, s, d, combo in zip(arr[pos:end], si[pos:end], dl[pos:end],
                                   creq):
             if s == 1:  # THROUGHPUT

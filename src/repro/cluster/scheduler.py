@@ -27,23 +27,29 @@ each die's binned *failure hazard* multiplies its ranking score by
 silicon to win a placement.  Bin *speed* needs no extra term — a slow
 die's derated cycle time already prices every estimate the classes rank
 by, the same way re-programming charges price affinity.
+
+:meth:`SLAScheduler.choose` is the one ranking: the router prices every
+active node from its cached estimates and hands the resulting
+``(node, estimate, finish, hazard)`` bundles to it on every placement —
+admission and crash/park re-placement alike.  A subclass that overrides
+``choose`` is therefore honoured everywhere; only the router's turbo replay
+chunks, which inline the stock ranking, require a stock scheduler.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.cluster.node import ClusterNode, NodeState, RequestEstimate
-from repro.cluster.telemetry import ColumnarTelemetry
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.node import ClusterNode, RequestEstimate
+    from repro.cluster.telemetry import ColumnarTelemetry
 
 __all__ = [
     "SLAClass",
-    "ClusterRequest",
     "NoActiveNodesError",
     "PlacementDecision",
     "SLAScheduler",
@@ -65,27 +71,6 @@ class SLAClass(enum.Enum):
     LATENCY = "latency"
     THROUGHPUT = "throughput"
     BEST_EFFORT = "best_effort"
-
-
-@dataclass(frozen=True)
-class ClusterRequest:
-    """One admitted request, tagged with its SLA class."""
-
-    request_id: int
-    model_id: str
-    images: np.ndarray
-    sla: SLAClass
-    arrival_s: float
-    deadline_s: Optional[float] = None
-    #: Optional caller-supplied identity of the images (see
-    #: :meth:`repro.cluster.node.ClusterNode.execute`); the analytic
-    #: execution mode memoises numeric forwards by it.
-    input_digest: Optional[str] = None
-
-    @property
-    def image_count(self) -> int:
-        """Images in the request."""
-        return int(self.images.shape[0])
 
 
 @dataclass(frozen=True)
@@ -152,9 +137,9 @@ class SLAScheduler:
         self-describing about the policy that produced its placement
         counters (see ``docs/OBSERVABILITY.md``).  Per-placement series
         deliberately live on the fold side
-        (``cluster_requests_total{sla, node}``) rather than here: the
-        router ranks a stock scheduler's candidates inline, without calling
-        :meth:`choose`, so scheduler-side counters would undercount.
+        (``cluster_requests_total{sla, node}``) rather than here: turbo
+        replay chunks rank a stock scheduler's candidates inline, without
+        calling :meth:`choose`, so scheduler-side counters would undercount.
         """
         return {
             "hot_threshold": float(self.hot_threshold),
@@ -163,168 +148,107 @@ class SLAScheduler:
             "coalesce_affinity": 1.0 if self.coalesce_affinity else 0.0,
         }
 
-    # ------------------------------------------------------------------ #
-    # Pool construction
-    # ------------------------------------------------------------------ #
-    def _scored(
-        self, request: ClusterRequest, nodes: Sequence[ClusterNode]
-    ) -> List[Tuple[ClusterNode, RequestEstimate, float]]:
-        """(node, estimate, modeled finish time) for every active node."""
-        scored = []
-        for node in nodes:
-            if node.state is not NodeState.ACTIVE:
-                continue
-            estimate = node.estimate_request(request.model_id, request.images)
-            start = max(node.available_s, request.arrival_s)
-            scored.append((node, estimate, start + estimate.latency_s))
-        if not scored:
-            raise NoActiveNodesError(
-                "no active nodes: wake a parked node before submitting"
-            )
-        return scored
-
-    def is_hot(self, model_id: str, telemetry: ColumnarTelemetry) -> bool:
-        """Whether a model's recent traffic justifies replication."""
-        return telemetry.recent_model_dispatches(model_id) >= self.hot_threshold
-
-    def _replication_pool(self, scored, resident, hot):
-        """Candidate pool for throughput / best-effort traffic.
-
-        ``resident`` here includes pending placements (see :meth:`choose`).
-        Cold model (nothing resident): the whole fleet — the first dispatch
-        programs the weights wherever the class ranking prefers.  Warm and
-        not hot: the resident nodes only (affinity).  Hot and
-        under-replicated: the *non-resident* nodes — the chosen node pays
-        the programming charge that creates the next replica (a resident
-        node would otherwise always win the ranking and replication would
-        never happen).  Hot and fully replicated: back to the replicas.
-        """
-        if not resident:
-            return scored
-        spreading = (
-            hot
-            and len(resident) < self.max_replicas
-            and len(resident) < len(scored)
-        )
-        if spreading:
-            return [entry for entry in scored if not entry[1].resident]
-        return resident
-
-    def _coalesce_pool(self, pool, pending):
-        """Restrict a pool to nodes with queued same-model work (if any).
-
-        Only active when ``coalesce_affinity`` is set: steering mergeable
-        traffic onto the nodes where its model is already queued is what
-        lets the router's cross-request coalescing actually find adjacent
-        same-model requests.  Latency traffic is never steered — deadline
-        feasibility outranks batching efficiency.
-        """
-        if not self.coalesce_affinity or not pending:
-            return pool
-        mergeable = [entry for entry in pool if entry[0].node_id in pending]
-        return mergeable if mergeable else pool
-
-    # ------------------------------------------------------------------ #
-    # Placement
-    # ------------------------------------------------------------------ #
     def choose(
         self,
-        request: ClusterRequest,
-        nodes: Sequence[ClusterNode],
-        telemetry: ColumnarTelemetry,
-        pending: Optional[frozenset] = None,
-    ) -> PlacementDecision:
+        scored: Sequence[Tuple["ClusterNode", "RequestEstimate", float, float]],
+        model_id: str,
+        sla: SLAClass,
+        arrival_s: float,
+        deadline_s: Optional[float],
+        pending: Optional[Collection[str]],
+        telemetry: "ColumnarTelemetry",
+    ) -> tuple:
         """Pick a node for one request; never refuses (worst case: best effort
         placement on the least-bad node, flagged infeasible for telemetry).
 
-        ``pending`` holds node ids with *queued* placements of the same
-        model: their weights will be resident by the time this request
+        ``scored`` holds one ``(node, estimate, modeled finish, hazard)``
+        bundle per active node, in fleet order (never empty).  ``pending``
+        holds node ids with *queued* placements of the same model (or is
+        ``None``): their weights will be resident by the time this request
         executes behind them (FIFO per node), so they count as replicas —
         both toward the ``max_replicas`` cap (a burst admitted before any
         dispatch must not replicate onto the whole fleet) and as affinity
-        candidates.
-        """
-        pending = pending if pending is not None else frozenset()
-        scored = self._scored(request, nodes)
-        resident = [
-            entry
-            for entry in scored
-            if entry[1].resident or entry[0].node_id in pending
-        ]
-        hot = self.is_hot(request.model_id, telemetry)
+        candidates.  ``telemetry``'s recent per-model dispatch count
+        decides whether the model is hot.
 
+        Returns the router's decision tuple, :class:`PlacementDecision`'s
+        fields after ``request_id``: ``(node_id, sla, feasible,
+        affinity_hit, replicated, est_start_s, est_finish_s, est_latency_s,
+        est_energy_per_image_j, candidates)``.
+        """
+        hw = self.hazard_weight
+        resident = [
+            e for e in scored
+            if e[1].resident or (pending and e[0].node_id in pending)
+        ]
         # Hazard penalty: a binned die's failure hazard multiplies its
         # ranking score, so risky silicon must out-price reliable silicon
         # to win.  Deadline *feasibility* stays physical (raw finish time):
         # hazard shapes preference, not the laws of the delay model.
-        def risk(entry) -> float:
-            return 1.0 + self.hazard_weight * entry[0].hazard
-
-        if request.sla is SLAClass.LATENCY:
-            if request.deadline_s is None:
-                raise ConfigurationError("latency-class requests need a deadline_s")
-            feasible = [
-                entry
-                for entry in scored
-                if entry[2] - request.arrival_s <= request.deadline_s
-            ]
-            pool = feasible if feasible else scored
+        if sla is SLAClass.LATENCY:
             # Earliest hazard-weighted modeled finish wins; energy breaks
             # ties so two equally fast nodes prefer the cheaper one.  The
             # penalty weights the request's *latency from arrival* — an
             # absolute clock value would make the same hazard count for
-            # more virtual seconds the later in a trace the request
-            # arrives (subtracting the shared arrival leaves the
-            # hazard-free ordering untouched).
-            node, estimate, finish = min(
-                pool,
+            # more virtual seconds the later in a trace the request arrives.
+            feasible = [e for e in scored if e[2] - arrival_s <= deadline_s]
+            node, est, finish, _ = min(
+                feasible or scored,
                 key=lambda e: (
-                    (e[2] - request.arrival_s) * risk(e),
-                    e[1].energy_j,
-                    e[0].node_id,
+                    (e[2] - arrival_s) * (1.0 + hw * e[3]), e[1].energy_j, e[0].node_id,
                 ),
             )
             is_feasible = bool(feasible)
-        elif request.sla is SLAClass.THROUGHPUT:
-            pool = self._replication_pool(scored, resident, hot)
-            pool = self._coalesce_pool(pool, pending)
-            # Cheapest hazard-weighted joules per image wins; finish time
-            # breaks ties.  A spreading pool is all non-resident nodes
-            # (this request pays the programming that creates the replica);
-            # once max_replicas hold the model the ranking returns to
-            # energy-first among the replicas, so sustained batch traffic
-            # keeps the low-VDD dividend.
-            node, estimate, finish = min(
-                pool,
-                key=lambda e: (e[1].energy_per_image_j * risk(e), e[2], e[0].node_id),
-            )
+        else:
+            # Throughput / best-effort pool.  Cold model (nothing resident
+            # or pending): the whole fleet.  Warm and not hot: the resident
+            # nodes only (affinity).  Hot and under-replicated: the
+            # *non-resident* nodes — the chosen node pays the programming
+            # that creates the next replica (a resident node would
+            # otherwise always win).  Hot and fully replicated: back to the
+            # replicas.
+            pool = scored
+            if resident:
+                spreading = (
+                    telemetry.recent_model_dispatches(model_id) >= self.hot_threshold
+                    and len(resident) < self.max_replicas
+                    and len(resident) < len(scored)
+                )
+                pool = [e for e in scored if not e[1].resident] if spreading else resident
+            # Coalescing affinity: steer mergeable traffic onto the nodes
+            # where its model is already queued, so the router's coalescing
+            # finds adjacent same-model requests.
+            if self.coalesce_affinity and pending:
+                pool = [e for e in pool if e[0].node_id in pending] or pool
+            if sla is SLAClass.THROUGHPUT:
+                # Cheapest hazard-weighted joules per image; finish breaks ties.
+                node, est, finish, _ = min(
+                    pool,
+                    key=lambda e: (
+                        e[1].energy_per_image_j * (1.0 + hw * e[3]), e[2], e[0].node_id,
+                    ),
+                )
+            else:  # BEST_EFFORT
+                # Shortest hazard-weighted wait from arrival; hazard breaks
+                # clear-immediately ties toward the safer die.
+                node, est, finish, _ = min(
+                    pool,
+                    key=lambda e: (
+                        (max(e[0].available_s, arrival_s) - arrival_s) * (1.0 + hw * e[3]),
+                        e[3],
+                        e[0].node_id,
+                    ),
+                )
             is_feasible = True
-        else:  # BEST_EFFORT
-            # Same replication discipline, ranked by backlog instead: the
-            # hazard penalty weights the modeled *wait from arrival* (not
-            # the absolute clock), and also breaks clear-immediately ties
-            # toward the safer die.
-            node, estimate, finish = min(
-                self._coalesce_pool(self._replication_pool(scored, resident, hot), pending),
-                key=lambda e: (
-                    (max(e[0].available_s, request.arrival_s) - request.arrival_s)
-                    * risk(e),
-                    e[0].hazard,
-                    e[0].node_id,
-                ),
-            )
-            is_feasible = True
-
-        return PlacementDecision(
-            request_id=request.request_id,
-            node_id=node.node_id,
-            sla=request.sla,
-            feasible=is_feasible,
-            affinity_hit=estimate.resident,
-            replicated=bool(resident) and not estimate.resident,
-            est_start_s=max(node.available_s, request.arrival_s),
-            est_finish_s=finish,
-            est_latency_s=estimate.latency_s,
-            est_energy_per_image_j=estimate.energy_per_image_j,
-            candidates=len(scored),
+        return (
+            node.node_id,
+            sla,
+            is_feasible,
+            est.resident,
+            bool(resident) and not est.resident,
+            max(node.available_s, arrival_s),
+            finish,
+            est.latency_s,
+            est.energy_per_image_j,
+            len(scored),
         )

@@ -15,12 +15,13 @@ arrays:
 
 Every generator decorates the arrival times with vectorized draws of the
 request mix: model, SLA class, image count and (for the latency class) a
-deadline.  :func:`replay` streams a trace through a
-:class:`~repro.cluster.router.ClusterRouter` in arrival order, drawing each
-request's images from a finite pool of distinct batches — pool slots double
-as the ``input_digest`` the analytic execution mode memoises forwards by —
-and drains in bounded chunks so queues (and the per-dispatch reservation
-re-chaining) stay short.
+deadline.  :func:`build_image_pool` slices a finite pool of distinct
+request batches whose slot digests double as the ``input_digest`` the
+analytic execution mode memoises forwards by, and
+:meth:`ClusterRouter.replay_trace <repro.cluster.router.ClusterRouter.replay_trace>`
+streams a trace through the router in arrival order, drawing each request's
+images round-robin from that pool and draining in bounded chunks so queues
+(and the per-dispatch reservation re-chaining) stay short.
 
 Everything is seeded and deterministic: the same seed always produces the
 same trace, so trace studies are reproducible down to the ledger.
@@ -42,7 +43,6 @@ __all__ = [
     "poisson_trace",
     "diurnal_trace",
     "burst_trace",
-    "replay",
 ]
 
 #: Canonical SLA order of the ``sla_indices`` column.
@@ -378,74 +378,3 @@ def build_image_pool(
             pool[(model_id, count)] = slots
     return pool
 
-
-def replay(
-    router,
-    trace: WorkloadTrace,
-    image_pool: Dict[Tuple[str, int], List[Tuple[str, np.ndarray]]],
-    drain_every: int = 64,
-    autoscaler=None,
-) -> Dict[str, float]:
-    """Stream a trace through a router in arrival order.
-
-    Requests draw their images round-robin from the pool's distinct slots
-    (the slot digest rides along as ``input_digest``), and the backlog is
-    drained every ``drain_every`` admissions — bounded queues keep the
-    per-dispatch reservation re-chaining cheap and mirror a live router
-    that serves while it admits.  ``autoscaler`` (a
-    :class:`~repro.cluster.autoscale.ReactiveAutoscaler`) observes after
-    every drain chunk, so fleet reshaping — including waking spares under
-    the failure pressure of an injected crash — happens *inside* the
-    serving loop, reacting to the same telemetry a live controller would.
-    Returns flat replay statistics including the wall-clock requests/sec of
-    the whole loop.
-    """
-    import time
-
-    check_positive("drain_every", drain_every)
-    arrivals = trace.arrivals_s
-    counts = trace.image_counts
-    model_indices = trace.model_indices
-    sla_indices = trace.sla_indices
-    deadlines = trace.deadlines_s
-    model_ids = trace.model_ids
-    slot_cursor: Dict[Tuple[str, int], int] = {}
-
-    requests = len(trace)
-    completed = 0
-    start_wall = time.perf_counter()
-    for index in range(requests):
-        model_id = model_ids[model_indices[index]]
-        count = int(counts[index])
-        slots = image_pool[(model_id, count)]
-        cursor = slot_cursor.get((model_id, count), 0)
-        digest, images = slots[cursor]
-        slot_cursor[(model_id, count)] = (cursor + 1) % len(slots)
-        deadline = deadlines[index]
-        router.submit(
-            model_id,
-            images,
-            sla=SLA_ORDER[sla_indices[index]],
-            deadline_s=None if np.isnan(deadline) else float(deadline),
-            arrival_s=float(arrivals[index]),
-            input_digest=digest,
-        )
-        if (index + 1) % drain_every == 0:
-            # Observe *before* draining: queue depth (and therefore failure
-            # pressure) is visible while the chunk's backlog is still real.
-            if autoscaler is not None:
-                autoscaler.observe()
-            completed += len(router.drain())
-    if autoscaler is not None:
-        autoscaler.observe()
-    completed += len(router.drain())
-    wall_s = time.perf_counter() - start_wall
-
-    return {
-        "requests": float(requests),
-        "completed": float(completed),
-        "images": float(trace.total_images),
-        "wall_s": wall_s,
-        "requests_per_s": requests / wall_s if wall_s > 0 else 0.0,
-        "images_per_s": trace.total_images / wall_s if wall_s > 0 else 0.0,
-    }

@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.node import ClusterNode, NodeSpec, NodeState
-from repro.cluster.workload import replay as workload_replay
 from repro.errors import ConfigurationError
 from repro.fleet.messages import (
     Completion,
@@ -593,20 +592,16 @@ class FleetCluster:
     ) -> Dict[str, float]:
         """Stream a workload trace through the fleet in arrival order.
 
-        Same observable contract as :meth:`ClusterRouter.replay_trace`,
-        but the per-chunk drains do *not* barrier — the coordinator keeps
+        Runs the coordinator router's :meth:`ClusterRouter.replay_trace`,
+        whose per-chunk drains do *not* barrier — the coordinator keeps
         admitting and charging while workers chew through earlier chunks
         in parallel; predictions are awaited once at the end (and the
         reported wall time includes that wait, so requests/sec is honest
         end-to-end throughput).
         """
         start = time.perf_counter()
-        stats = workload_replay(
-            self._router,
-            trace,
-            image_pool,
-            drain_every=drain_every,
-            autoscaler=autoscaler,
+        stats = self._router.replay_trace(
+            trace, image_pool, drain_every=drain_every, autoscaler=autoscaler
         )
         self._await_predictions()
         wall_s = time.perf_counter() - start

@@ -1,9 +1,12 @@
 """Test-only reference implementations (differential oracles).
 
-Production code never imports this package; the differential suites and
+Production code never imports this package (``tests/test_documentation.py``
+checks that no module under ``src/`` does); the differential suites and
 ``benchmarks/bench_event_kernel.py`` compare the unified router core
-against ``ObjectRouter``, and ``tests/test_conv_oracle.py`` compares the
-quantised conv forward against ``quantized_conv_forward``.
+against ``ObjectRouter``, which ranks placements with the frozen
+object-form ranking of ``oracle.scheduler`` (``choose`` over one
+``ClusterRequest`` per admission), and ``tests/test_conv_oracle.py``
+compares the quantised conv forward against ``quantized_conv_forward``.
 """
 
 from oracle.conv import quantized_conv_forward

@@ -1,12 +1,13 @@
 """The frozen per-request object router: the differential oracle.
 
 This is the cluster router's original object implementation — one
-:class:`~repro.cluster.scheduler.ClusterRequest` and
-:class:`~repro.cluster.scheduler.PlacementDecision` per request, an
-immediate engine charge per dispatch, one
-:class:`~repro.cluster.telemetry.RequestTrace` per completion — kept
-unchanged as the reference :class:`repro.cluster.router.ClusterRouter` must
-match bit for bit.  No production path uses it; the differential suite
+:class:`~oracle.scheduler.ClusterRequest` and
+:class:`~repro.cluster.scheduler.PlacementDecision` per request, ranked by
+the frozen object-form :func:`oracle.scheduler.choose`, an immediate engine
+charge per dispatch, one :class:`~repro.cluster.telemetry.RequestTrace` per
+completion, and the plain per-request trace-replay loop — kept unchanged
+as the reference :class:`repro.cluster.router.ClusterRouter` must match bit
+for bit.  No production path uses it; the differential suite
 (``tests/test_event_kernel.py``) and ``benchmarks/bench_event_kernel.py``
 run both on the same workload and compare every observable.
 """
@@ -14,17 +15,18 @@ run both on the same workload and compare every observable.
 from __future__ import annotations
 
 import heapq
+import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from oracle.scheduler import ClusterRequest, choose
 from oracle.telemetry import ClusterTelemetry
 from repro.cluster.instrumentation import attach_cluster_observability
 from repro.cluster.node import ClusterNode, NodeState
 from repro.cluster.router import ClusterResult
 from repro.cluster.scheduler import (
-    ClusterRequest,
     NoActiveNodesError,
     PlacementDecision,
     SLAClass,
@@ -35,6 +37,7 @@ from repro.core.stats import MacroStatistics
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, Tracer
 from repro.reliability.faults import FaultEvent, FaultKind, FaultPlan
+from repro.utils.validation import check_positive
 
 __all__ = ["ObjectRouter"]
 
@@ -305,7 +308,8 @@ class ObjectRouter:
         self._next_request_id += 1
 
         try:
-            decision = self.scheduler.choose(
+            decision = choose(
+                self.scheduler,
                 request,
                 self.nodes,
                 self.telemetry,
@@ -446,7 +450,8 @@ class ObjectRouter:
         node.available_s = self._completed_s[node_id]
         for index, (request, _) in enumerate(stranded):
             try:
-                decision = self.scheduler.choose(
+                decision = choose(
+                    self.scheduler,
                     request,
                     self.nodes,
                     self.telemetry,
@@ -679,16 +684,57 @@ class ObjectRouter:
     ) -> Dict[str, float]:
         """Stream a workload trace through the router in arrival order.
 
-        The plain per-request loop of :func:`repro.cluster.workload.replay`
-        (same pool-slot rotation, drain cadence and autoscaler observation
-        points) — the reference the core's turbo chunks must match.
+        The plain per-request loop (round-robin pool slots, a drain every
+        ``drain_every`` admissions, the autoscaler observing before each
+        drain) — the reference the core's turbo chunks must match.
         """
-        from repro.cluster.workload import replay
+        from repro.cluster.workload import SLA_ORDER
 
-        return replay(
-            self, trace, image_pool, drain_every=drain_every,
-            autoscaler=autoscaler,
-        )
+        check_positive("drain_every", drain_every)
+        arrivals = trace.arrivals_s
+        counts = trace.image_counts
+        model_indices = trace.model_indices
+        sla_indices = trace.sla_indices
+        deadlines = trace.deadlines_s
+        model_ids = trace.model_ids
+        slot_cursor: Dict[Tuple[str, int], int] = {}
+
+        requests = len(trace)
+        completed = 0
+        start_wall = time.perf_counter()
+        for index in range(requests):
+            model_id = model_ids[model_indices[index]]
+            count = int(counts[index])
+            slots = image_pool[(model_id, count)]
+            cursor = slot_cursor.get((model_id, count), 0)
+            digest, images = slots[cursor]
+            slot_cursor[(model_id, count)] = (cursor + 1) % len(slots)
+            deadline = deadlines[index]
+            self.submit(
+                model_id,
+                images,
+                sla=SLA_ORDER[sla_indices[index]],
+                deadline_s=None if np.isnan(deadline) else float(deadline),
+                arrival_s=float(arrivals[index]),
+                input_digest=digest,
+            )
+            if (index + 1) % drain_every == 0:
+                if autoscaler is not None:
+                    autoscaler.observe()
+                completed += len(self.drain())
+        if autoscaler is not None:
+            autoscaler.observe()
+        completed += len(self.drain())
+        wall_s = time.perf_counter() - start_wall
+
+        return {
+            "requests": float(requests),
+            "completed": float(completed),
+            "images": float(trace.total_images),
+            "wall_s": wall_s,
+            "requests_per_s": requests / wall_s if wall_s > 0 else 0.0,
+            "images_per_s": trace.total_images / wall_s if wall_s > 0 else 0.0,
+        }
 
     def result(self, request_id: int) -> ClusterResult:
         """The completed result of a request.

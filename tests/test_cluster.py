@@ -13,15 +13,20 @@ from repro.analysis.experiments import cluster_scheduling_study
 from repro.cluster import (
     ClusterNode,
     ClusterRouter,
+    ColumnarTelemetry,
+    ExecutionMode,
     NodeState,
     ReactiveAutoscaler,
     SLAClass,
     SLAScheduler,
+    build_image_pool,
     model_weight_codes,
+    poisson_trace,
 )
 from repro.cluster import router as router_module
 from repro.dnn import make_pattern_image_dataset, train_pattern_cnn
 from repro.errors import ConfigurationError
+from repro.reliability import FaultPlan
 from repro.utils.validation import check_ledger_conservation
 
 NUM_MACROS = 16
@@ -505,6 +510,28 @@ class TestRouterAccounting:
             router.result(request)
         assert router.nodes[0].available_s == 0.0
 
+    @pytest.mark.parametrize("sla", ["latency", "best_effort", None])
+    def test_an_sla_that_is_not_an_sla_class_is_refused(self, trained, sla):
+        dataset, model_a, _ = trained
+        router = _router({"a": model_a}, vdds=(0.9,))
+        node = router.nodes[0]
+        with pytest.raises(ConfigurationError, match="SLAClass"):
+            router.submit("a", dataset.test_images[:2], sla=sla, deadline_s=1.0)
+        # Refused before admission: nothing reserved, queued or charged.
+        assert node.available_s == 0.0
+        assert router.queue_depth() == 0
+        assert router.drain() == []
+        assert node.ledger().total_cycles == 0
+        # Conservation: the refusal took no request id, and every admitted
+        # request reaches exactly one terminal outcome.
+        admitted = router.submit("a", dataset.test_images[:2], sla=SLAClass.THROUGHPUT)
+        assert admitted == 0
+        router.drain()
+        assert router.result(admitted).predictions.shape == (2,)
+        assert router.completed_requests == 1
+        assert router.failed_requests == 0
+        assert router.queue_depth() == 0
+
     def test_parking_a_node_requeues_its_backlog(self, trained):
         dataset, model_a, _ = trained
         router = _router(
@@ -535,6 +562,110 @@ class TestRouterAccounting:
         parked.wake()
         router.drain()
         assert router.result(queued).predictions.shape == (2,)
+
+
+class LastNodeScheduler(SLAScheduler):
+    """Pins every placement to the last scored node and counts its calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def choose(self, scored, model_id, sla, arrival_s, deadline_s, pending, telemetry):
+        self.calls += 1
+        return super().choose(
+            scored[-1:], model_id, sla, arrival_s, deadline_s, pending, telemetry
+        )
+
+
+class TestSchedulerHook:
+    """An overriding ``choose`` is honoured on every placement path."""
+
+    #: The stock ranking puts none of these requests on the last node:
+    #: throughput goes to 0.6 V, latency to 1.0 V, best effort to n0.
+    VDDS = (0.6, 1.0, 0.9)
+
+    def test_submit_places_through_the_override(self, trained):
+        dataset, model_a, _ = trained
+        scheduler = LastNodeScheduler()
+        router = _router({"a": model_a}, vdds=self.VDDS, scheduler=scheduler)
+        images = dataset.test_images[:2]
+        requests = [
+            router.submit("a", images, sla=SLAClass.LATENCY, deadline_s=1.0),
+            router.submit("a", images, sla=SLAClass.THROUGHPUT),
+            router.submit("a", images, sla=SLAClass.BEST_EFFORT),
+        ]
+        assert scheduler.calls == 3
+        last = router.nodes[-1].node_id
+        assert [router.decision(r).node_id for r in requests] == [last] * 3
+        assert {result.node_id for result in router.drain()} == {last}
+
+    def test_crash_re_placement_goes_through_the_override(self, trained):
+        dataset, model_a, _ = trained
+        scheduler = LastNodeScheduler()
+        crashed, survivor = "n2-0.9v", "n1-1.0v"
+        router = _router(
+            {"a": model_a}, vdds=self.VDDS, scheduler=scheduler,
+            fault_plan=FaultPlan.node_crash(crashed, at_s=1.0),
+        )
+        images = dataset.test_images[:2]
+        backlog = [
+            router.submit("a", images, sla=SLAClass.THROUGHPUT, arrival_s=0.0)
+            for _ in range(3)
+        ]
+        assert {router.decision(r).node_id for r in backlog} == {crashed}
+        # The crash fires at this arrival, before its placement: the queued
+        # backlog is re-placed through the override, then the new request.
+        late = router.submit("a", images, sla=SLAClass.THROUGHPUT, arrival_s=1.0)
+        assert scheduler.calls == 3 + 3 + 1
+        assert router.replayed_placements == 3
+        assert {router.decision(r).node_id for r in backlog + [late]} == {survivor}
+        results = router.drain()
+        assert {result.node_id for result in results} == {survivor}
+        assert sorted(r.request_id for r in results if r.replayed) == backlog
+
+    @pytest.mark.parametrize("override", [True, False])
+    def test_replay_trace_takes_the_per_request_loop(
+        self, trained, monkeypatch, override
+    ):
+        dataset, model_a, _ = trained
+        pool = build_image_pool({"a": dataset.test_images}, (2,), pool_slots=4)
+        trace = poisson_trace(
+            200, rate_rps=50.0, model_ids=("a",), image_counts=(2,), seed=4
+        )
+        nodes = [
+            _node(f"n{i}", vdd, execution_mode=ExecutionMode.ANALYTIC)
+            for i, vdd in enumerate(self.VDDS)
+        ]
+        scheduler = LastNodeScheduler() if override else SLAScheduler()
+        router = ClusterRouter(
+            nodes, scheduler=scheduler, retain_results=False,
+            telemetry=ColumnarTelemetry(retain_traces=False),
+        )
+        router.register_model("a", model_a)
+        for node in nodes:  # warm: weights programmed, every slot memoised
+            for slots in pool.values():
+                for digest, images in slots:
+                    node.execute("a", images, input_digest=digest)
+        turbo_chunks = []
+        plain_chunk = ClusterRouter._turbo_chunk
+        monkeypatch.setattr(
+            ClusterRouter, "_turbo_chunk",
+            lambda self, *args: turbo_chunks.append(1) or plain_chunk(self, *args),
+        )
+        warm = [node.telemetry.dispatches for node in nodes]
+        stats = router.replay_trace(trace, pool, drain_every=32)
+        assert stats["completed"] == 200.0
+        served = [node.telemetry.dispatches - w for node, w in zip(nodes, warm)]
+        if override:
+            # Turbo inlines the stock ranking, so the override forces the
+            # per-request loop: one choose call per request.
+            assert not turbo_chunks
+            assert scheduler.calls == 200
+            assert served == [0, 0, 200]
+        else:
+            assert turbo_chunks
+            assert served == [200, 0, 0]
 
 
 class TestAutoscaler:

@@ -1,10 +1,14 @@
 """Consistency checks between the documentation and the repository contents.
 
 These tests keep README.md, DESIGN.md and EXPERIMENTS.md honest: every
-benchmark or example they reference must exist, and the per-experiment index
-must cover every benchmark file that exists.
+benchmark or example they reference must exist, every name README's code
+imports from ``repro`` must still be there, and the per-experiment index
+must cover every benchmark file that exists.  They also hold the test-only
+oracle boundary: nothing under ``src/`` may import ``tests/oracle/``.
 """
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -38,6 +42,24 @@ class TestReferencesResolve:
         readme = _read("README.md")
         for match in re.findall(r"bench_\w+\.py", readme):
             assert (ROOT / "benchmarks" / match).exists(), match
+
+    def test_readme_python_imports_resolve(self):
+        blocks = re.findall(r"```python\n(.*?)```", _read("README.md"), re.S)
+        assert blocks
+        checked = 0
+        for block in blocks:
+            for node in ast.walk(ast.parse(block)):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                    module = importlib.import_module(node.module)
+                    for alias in node.names:
+                        assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                        checked += 1
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("repro"):
+                            importlib.import_module(alias.name)
+                            checked += 1
+        assert checked
 
     def test_experiments_md_covers_every_benchmark(self):
         experiments = _read("EXPERIMENTS.md")
@@ -88,3 +110,19 @@ class TestPackageMetadata:
 
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+
+class TestOracleBoundary:
+    def test_no_module_under_src_imports_the_oracle(self):
+        offenders = []
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    roots = [(node.module or "").split(".")[0]]
+                else:
+                    continue
+                if "oracle" in roots:
+                    offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+        assert not offenders, offenders

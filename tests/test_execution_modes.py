@@ -403,10 +403,11 @@ class TestRouterFidelity:
             assert router.queue_depth() == sum(
                 router.queue_depth(node.node_id) for node in nodes
             )
-            assert router._pending_nodes("cnn") <= {"n0", "n1"}
+            assert set(router._pending_by_model["cnn"]) <= {"n0", "n1"}
+            assert sum(router._pending_by_model["cnn"].values()) == 6
             router.drain()
             assert router.queue_depth() == 0
-            assert router._pending_nodes("cnn") == frozenset()
+            assert "cnn" not in router._pending_by_model
 
 
 class TestStudyFidelity:

@@ -11,7 +11,6 @@ from repro.cluster import (
     burst_trace,
     diurnal_trace,
     poisson_trace,
-    replay,
 )
 from repro.cluster.workload import SLA_ORDER
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
@@ -131,7 +130,7 @@ class TestPoolAndReplay:
         )
         with ClusterRouter([node]) as router:
             router.register_model("cnn", cnn)
-            stats = replay(router, trace, pool, drain_every=8)
+            stats = router.replay_trace(trace, pool, drain_every=8)
             assert stats["requests"] == 40.0
             assert stats["completed"] == 40.0
             assert stats["images"] == float(trace.total_images)
@@ -153,7 +152,7 @@ class TestPoolAndReplay:
             )
             with ClusterRouter([node]) as router:
                 router.register_model("cnn", cnn)
-                replay(router, trace, pool, drain_every=8)
+                router.replay_trace(trace, pool, drain_every=8)
                 ledger = router.ledger()
                 return (
                     [t.finish_s for t in router.telemetry.traces],
