@@ -108,9 +108,9 @@ def _build_burst_workload(dataset_images):
 
     Coalescing pays when many small adjacent requests merge into one
     dispatch (amortising the per-dispatch charge/bookkeeping over the whole
-    group) *and* the merged compositions recur (the group forward is
-    memoised per composition); a burst trace of 8-image requests drawn from
-    a few distinct bodies is exactly that regime.
+    group); the forward is memoised per request, so a burst trace of
+    8-image requests drawn from a few distinct bodies hits the memo
+    whatever groups the router forms.
     """
     count = 8
     pool = build_image_pool({"cnn": dataset_images}, (count,), pool_slots=4)
@@ -204,9 +204,7 @@ def test_router_throughput_analytic_vs_exact(benchmark, reporter, write_results_
         iterations=1,
     )
     # Both burst runs place with coalesce-affinity steering so the only
-    # variable between them is the coalescing itself; steering keeps the
-    # merged group compositions stable, which is what lets the group
-    # forward memo converge.
+    # variable between them is the coalescing itself.
     burst_plain = _run(
         cnn,
         burst_pool,

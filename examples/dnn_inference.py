@@ -61,9 +61,9 @@ def main() -> None:
     imc_backend = IMCMatmulBackend(macro, precision_bits=8)
     reference_backend = NumpyIntBackend()
     layer = quantized.layers[0]
-    activations = layer.quantize_activations(dataset.test_x[:4])
-    reference = reference_backend(activations.codes, layer.quantized_weights.codes)
-    on_macro = imc_backend(activations.codes, layer.quantized_weights.codes)
+    codes, _ = layer.quantize_activations(dataset.test_x[:4])
+    reference = reference_backend(codes, layer.quantized_weights.codes)
+    on_macro = imc_backend(codes, layer.quantized_weights.codes)
     matches = bool(np.array_equal(reference, on_macro))
     print(f"first-layer integer matmul on the macro matches numpy: {matches}")
     stats = imc_backend.statistics()

@@ -663,9 +663,9 @@ def dnn_precision_study(
         latency[bits] = cost["latency_s"]
         if verify_samples > 0:
             layer = quantized.layers[0]
-            activations = layer.quantize_activations(dataset.test_x[:verify_samples])
-            reference = NumpyIntBackend()(activations.codes, layer.quantized_weights.codes)
-            on_macro = backend(activations.codes, layer.quantized_weights.codes)
+            codes, _ = layer.quantize_activations(dataset.test_x[:verify_samples])
+            reference = NumpyIntBackend()(codes, layer.quantized_weights.codes)
+            on_macro = backend(codes, layer.quantized_weights.codes)
             verified = verified and bool(np.array_equal(reference, on_macro))
 
     return PrecisionStudyResult(

@@ -83,10 +83,12 @@ class ExecutionMode(enum.Enum):
     actually computed.  ``ANALYTIC`` lands the very same charges through the
     engine's exact-charge API
     (:meth:`repro.core.matmul.TiledMatmulEngine.charge_layers`) in the same
-    loop and memoises the numeric forward per ``(model_id, input_digest)``,
-    so the numpy model runs once per *unique* input instead of once per
-    request.  Both modes fold modeled time with one formula, so degraded
-    nodes agree too.
+    loop and memoises the numeric forward per request, keyed by
+    ``(model_id, input_digest)``, so the numpy model runs once per *unique*
+    input instead of once per request.  Activation scales are per image, so
+    a request's predictions do not depend on the batch it shares: one entry
+    serves it coalesced or alone.  Both modes fold modeled time with one
+    formula, so degraded nodes agree too.
 
     The fidelity contract: on any workload an ``ANALYTIC`` node produces
     bit-identical predictions, ledgers, dispatch accounting and (virtual-
@@ -107,8 +109,11 @@ class ForwardMemo:
     Trace-driven studies draw requests from a finite pool of distinct
     inputs, so memoising the forward per ``(model_id, input_digest)`` makes
     the numpy model run once per unique input across millions of requests.
-    A memo can be shared by every node of a fleet (the predictions do not
-    depend on which chip served the request).
+    One entry per request serves it wherever it lands: predictions depend
+    neither on the chip that served the request (a memo can be shared by
+    every node of a fleet) nor on its batchmates (activation scales are per
+    image).  Entries are stored read-only, because every request carrying
+    the digest is handed the same array.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -132,7 +137,8 @@ class ForwardMemo:
         return predictions
 
     def store(self, key: object, predictions: np.ndarray) -> None:
-        """Memoise one forward pass, evicting LRU entries beyond capacity."""
+        """Memoise one forward pass (made read-only), evicting LRU entries."""
+        predictions.setflags(write=False)
         self._entries[key] = predictions
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
@@ -191,13 +197,6 @@ def _layer_row_factors(model, image_shape: Tuple[int, ...]) -> List[int]:
     return [1 for _ in model.layers]
 
 
-def _joined(parts: Sequence[Tuple[np.ndarray, Optional[str]]]) -> np.ndarray:
-    """A dispatch group's images as one batch, in part order."""
-    if len(parts) == 1:
-        return parts[0][0]
-    return np.concatenate([images for images, _ in parts])
-
-
 def _part_views(
     grouped: np.ndarray, parts: Sequence[Tuple[np.ndarray, Optional[str]]]
 ) -> List[np.ndarray]:
@@ -243,8 +242,9 @@ class NodeDispatch:
     critical_path_cycles: int
     #: Execution mode the dispatch ran under ("exact" / "analytic").
     execution_mode: str = ExecutionMode.EXACT.value
-    #: Whether a fresh forward spot-checked the memoised predictions.
-    spot_checked: bool = False
+    #: Per request of the dispatch (in ``parts`` order): whether a fresh
+    #: forward spot-checked that request's memoised predictions.
+    spot_checked: Tuple[bool, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -731,25 +731,22 @@ class ClusterNode:
         model_id: str,
         parts: Sequence[Tuple[np.ndarray, Optional[str]]],
         total: int,
-    ) -> Tuple[np.ndarray, Tuple[int, float, float, int], bool]:
+    ) -> Tuple[np.ndarray, Tuple[int, float, float, int], Tuple[bool, ...]]:
         """The swappable compute module of :meth:`execute_group`.
 
         Lands the group's charges through :meth:`_run_batches` and returns
         (predictions of all ``total`` images in part order, the batch
-        loop's totals, whether a memo spot check ran).  Subclasses replace
-        only this hook (:class:`repro.fleet.ShadowNode` charges and hands
-        out placeholders).
+        loop's totals, per part whether a memo spot check ran).  Subclasses
+        replace only this hook (:class:`repro.fleet.ShadowNode` charges and
+        hands out placeholders).
         """
         if self.execution_mode is ExecutionMode.ANALYTIC:
             totals = self._charge_batches(model_id, parts[0][0].shape, total)
-            predictions, spot_checked = self._memo_predict(
-                model_id,
-                self._memo_key(model_id, parts),
-                lambda: _joined(parts),
-            )
-            return predictions, totals, spot_checked
+            answers, spot_checked = self._memo_predict(model_id, parts)
+            grouped = answers[0] if len(answers) == 1 else np.concatenate(answers)
+            return grouped, totals, tuple(spot_checked)
         model = self._bound[model_id]
-        images = _joined(parts)
+        images = parts[0][0] if len(parts) == 1 else np.concatenate([part for part, _ in parts])
         outputs: List[np.ndarray] = []
         totals = self._run_batches(
             total,
@@ -760,7 +757,7 @@ class ClusterNode:
         counts = self.forward_counts[model_id]
         counts[0] += totals[0]
         counts[1] += total
-        return np.concatenate(outputs), totals, False
+        return np.concatenate(outputs), totals, (False,) * len(parts)
 
     def _run_batches(
         self, total: int, run: Callable[[int, int], object]
@@ -815,53 +812,49 @@ class ClusterNode:
         )
 
     def _plain_forward(self, model_id: str, images: np.ndarray) -> np.ndarray:
-        """The numeric forward exactly as the batch loop would run it.
+        """The numeric forward of any images, with no charges.
 
-        Activation quantisation scales are derived per dispatched batch, so
-        a request larger than ``max_batch_size`` must be predicted in the
-        same slices the batch loop forms — predicting it in one piece
-        could change low-order logits.  The model runs on its own (golden
-        int64) backend: bit-identical to the engine path, zero charges.
+        Activation scales are per image, so predicting in one piece gives
+        what the batch loop's slices give.  The model runs on its own
+        (golden int64) backend: bit-identical to the engine path.
         """
-        model = self._models[model_id]
-        total = int(images.shape[0])
-        if total <= self.max_batch_size:
-            return model.predict(images)
-        parts = [
-            model.predict(images[start : start + self.max_batch_size])
-            for start in range(0, total, self.max_batch_size)
-        ]
-        return np.concatenate(parts)
+        return self._models[model_id].predict(images)
 
     def _memo_predict(
-        self, model_id: str, key: object, images_fn
-    ) -> Tuple[np.ndarray, bool]:
-        """Memoised forward with sampled spot checks; (predictions, checked).
+        self, model_id: str, parts: Sequence[Tuple[np.ndarray, Optional[str]]]
+    ) -> Tuple[List[np.ndarray], List[bool]]:
+        """Each request's memoised forward, with sampled spot checks.
 
-        ``images_fn`` supplies the images lazily: a memo hit without a spot
-        check never materialises them, which is what keeps coalesced
-        dispatches from paying a megabyte concatenation per group.
+        One memo entry per request: a miss forwards that request alone.
+        Returns (predictions per part, per part whether a spot check ran).
         """
-        predictions = self.forward_memo.lookup(key)
-        if predictions is None:
-            predictions = self._plain_forward(model_id, images_fn())
-            self.forward_memo.store(key, predictions)
-            return predictions, False
-        if self.spot_check_every:
-            self._memo_hits_since_check += 1
-            if self._memo_hits_since_check >= self.spot_check_every:
-                self._memo_hits_since_check = 0
-                self.spot_checks += 1
-                fresh = self._plain_forward(model_id, images_fn())
-                if not np.array_equal(fresh, predictions):
-                    raise ConfigurationError(
-                        f"analytic spot check failed on node {self.node_id!r} "
-                        f"for model {model_id!r}: memoised predictions "
-                        "diverge from a fresh forward (input digests must "
-                        "uniquely identify request images)"
-                    )
-                return predictions, True
-        return predictions, False
+        memo = self.forward_memo
+        answers: List[np.ndarray] = []
+        spot_checked: List[bool] = []
+        for images, digest in parts:
+            key = self._memo_key(model_id, images, digest)
+            predictions = memo.lookup(key)
+            checked = False
+            if predictions is None:
+                predictions = self._plain_forward(model_id, images)
+                memo.store(key, predictions)
+            elif self.spot_check_every:
+                self._memo_hits_since_check += 1
+                if self._memo_hits_since_check >= self.spot_check_every:
+                    self._memo_hits_since_check = 0
+                    self.spot_checks += 1
+                    fresh = self._plain_forward(model_id, images)
+                    if not np.array_equal(fresh, predictions):
+                        raise ConfigurationError(
+                            f"analytic spot check failed on node {self.node_id!r} "
+                            f"for model {model_id!r}: memoised predictions "
+                            "diverge from a fresh forward (input digests must "
+                            "uniquely identify request images)"
+                        )
+                    checked = True
+            answers.append(predictions)
+            spot_checked.append(checked)
+        return answers, spot_checked
 
     @staticmethod
     def _content_digest(images: np.ndarray) -> str:
@@ -874,29 +867,15 @@ class ClusterNode:
         return f"{images.shape}:{digest.hexdigest()}"
 
     @staticmethod
-    def _memo_key(
-        model_id: str, parts: Sequence[Tuple[np.ndarray, Optional[str]]]
-    ) -> object:
-        """The forward memo's key for a dispatch group (the one key format).
+    def _memo_key(model_id: str, images: np.ndarray, digest: Optional[str]) -> object:
+        """The forward memo's key for one request (the one key format).
 
-        A request is keyed by its digest (a content hash when it has none).
-        A coalesced group is keyed by the tuple of its part digests: the
-        quantisation scale of a merged batch depends on its batchmates, so
-        per-request entries cannot serve a group.
+        A request is keyed by its digest, or by a content hash when it has
+        none.
         """
-        if len(parts) == 1:
-            images, digest = parts[0]
-            if digest is None:
-                digest = ClusterNode._content_digest(images)
-            return (model_id, digest)
-        return (
-            model_id,
-            "group",
-            tuple(
-                digest if digest is not None else ClusterNode._content_digest(images)
-                for images, digest in parts
-            ),
-        )
+        if digest is None:
+            digest = ClusterNode._content_digest(images)
+        return (model_id, digest)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tu
 import numpy as np
 
 from repro.cluster.kernel import ChargeBuffer, DispatchSig, NodeCache, SliceSig, flush_charges
-from repro.cluster.node import ClusterNode, ExecutionMode, NodeState, _joined
+from repro.cluster.node import ClusterNode, ExecutionMode, NodeState
 from repro.cluster.scheduler import (
     NoActiveNodesError,
     PlacementDecision,
@@ -489,10 +489,12 @@ class ClusterRouter:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[0] == 0:
             raise ConfigurationError("expected a non-empty (batch, channels, height, width) array")
-        # A non-finite pixel would poison the activation scale of every
-        # batchmate a coalesced dispatch gives it.  A digest names identical
-        # images (the forward memo's contract), so a known-finite one is not
-        # re-scanned: analytic requests otherwise never read their pixels.
+        # A non-finite pixel has no integer code: its image's activation
+        # scale would not be finite and the forward would fail, taking every
+        # request of its dispatch group down with it.  So it is refused here.
+        # A digest names identical images (the forward memo's contract), so a
+        # known-finite one is not re-scanned: analytic requests otherwise
+        # never read their pixels.
         if input_digest not in self._finite_digests:
             check_finite("images", images)
             if input_digest is not None:
@@ -783,10 +785,9 @@ class ClusterRouter:
         ordinal = len(buf.dispatches)
         buf.dispatches.append(dsig.slices)
         compute_s = dsig.compute_s(node.degrade_factor)
-        parts = [(e[_E_IMAGES], e[_E_DIGEST]) for e in group]
         try:
-            grouped, spot_checked = node._memo_predict(
-                model_id, node._memo_key(model_id, parts), lambda: _joined(parts)
+            answers, spot_checked = node._memo_predict(
+                model_id, [(e[_E_IMAGES], e[_E_DIGEST]) for e in group]
             )
         except Exception as error:
             self._fail_group(node_id, group, error)
@@ -803,19 +804,15 @@ class ClusterRouter:
         ord_app = buf.ordinals.append
         frac_app = buf.fractions.append
         rids: List[int] = []
-        offset = 0
-        for e in group:
+        for e, request_predictions, checked in zip(group, answers, spot_checked):
             rid = e[_E_RID]
             count = e[_E_COUNT]
             if single:
                 fraction = None
                 compute_share = compute_s
-                request_predictions = grouped
             else:
                 fraction = count / total
                 compute_share = compute_s * fraction
-                request_predictions = grouped[offset : offset + count]
-                offset += count
             arrival = e[_E_ARRIVAL]
             deadline = e[_E_DEADLINE]
             latency = finish - arrival
@@ -825,7 +822,7 @@ class ClusterRouter:
                     rid, model_id, node_id, e[_E_SLA].value, count, arrival,
                     start, finish, compute_share, deadline, missed, True,
                     False, e[_E_FEASIBLE], "analytic", coalesced,
-                    spot_checked, rid in replayed_set,
+                    checked, rid in replayed_set,
                 ),
                 None,
             )
@@ -881,7 +878,7 @@ class ClusterRouter:
         ntel = node.telemetry
         retain = self.retain_results
         rids: List[int] = []
-        for e, request_predictions in zip(group, predictions):
+        for e, request_predictions, checked in zip(group, predictions, dispatch.spot_checked):
             rid = e[_E_RID]
             count = e[_E_COUNT]
             # A group of one has fraction 1.0: its shares are exact.
@@ -898,7 +895,7 @@ class ClusterRouter:
                     start, finish, compute_share, deadline, missed,
                     dispatch.affinity_hit, dispatch.programmed,
                     e[_E_FEASIBLE], dispatch.execution_mode, coalesced,
-                    dispatch.spot_checked, rid in self._replayed,
+                    checked, rid in self._replayed,
                 ),
                 energy_share,
             )
@@ -1212,7 +1209,7 @@ class ClusterRouter:
                 if ent[3] > max_step:
                     max_step = ent[3]
             keys = [
-                ClusterNode._memo_key(model_id, ((images, digest),))
+                ClusterNode._memo_key(model_id, images, digest)
                 for digest, images in slots
             ]
             for node in active:

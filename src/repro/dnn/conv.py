@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.dnn.quantization import QuantizedTensor, quantize_tensor
 from repro.errors import ConfigurationError
-from repro.utils.fixedpoint import FixedPointFormat
+from repro.utils.fixedpoint import quantize_rows
 
 __all__ = ["Conv2DLayer", "QuantizedConv2DLayer", "conv_output_shape", "im2col"]
 
@@ -180,11 +180,14 @@ class QuantizedConv2DLayer:
     ) -> np.ndarray:
         """Quantised forward pass through an integer matmul backend.
 
-        Every im2col entry is a pixel and quantisation is elementwise, so it
-        commutes with the gather: the pixels are quantised once, under the
-        scale of the pixels the windows cover, and their integer codes are
-        lowered.  The code matrix equals the one quantising the k^2-fold
-        im2col matrix would give, without that matrix's float temporaries.
+        Each image has its own activation scale, set by the pixels its
+        windows cover, so an image's outputs do not depend on its
+        batchmates.  Every im2col entry is a pixel and quantisation is
+        elementwise, so it commutes with the gather: the pixels are
+        quantised once and their integer codes are lowered.  The code matrix
+        equals the one quantising the k^2-fold im2col matrix would give,
+        without that matrix's float temporaries.  Each image's output rows
+        are rescaled by its scale after the integer accumulation.
         """
         layer = self.float_layer
         kernel, stride = layer.kernel_size, layer.stride
@@ -198,19 +201,21 @@ class QuantizedConv2DLayer:
         span_width = (out_width - 1) * stride + kernel
         pixels = images[:, :, :span_height, :span_width]
         covered = pixels if stride <= kernel else _windows(pixels, kernel, stride)
-        fmt = FixedPointFormat.for_tensor(covered, self.activation_bits)
-        codes = _lower(fmt.quantize(pixels), kernel, stride)
+        codes, scales = quantize_rows(pixels, self.activation_bits, covered)
+        codes = _lower(codes, kernel, stride)
         if matmul is None:
             accumulator = codes @ self.quantized_weights.codes
         else:
             accumulator = matmul(codes, self.quantized_weights.codes)
-        outputs = (
-            accumulator.astype(np.float64) * fmt.scale * self.quantized_weights.scale
-            + layer.bias
-        )
-        if layer.relu:
-            outputs = np.maximum(outputs, 0.0)
         batch = images.shape[0]
+        outputs = accumulator.astype(np.float64).reshape(
+            batch, out_height * out_width, layer.out_channels
+        )
+        outputs *= scales[:, None, None]
+        outputs *= self.quantized_weights.scale
+        outputs += layer.bias
+        if layer.relu:
+            np.maximum(outputs, 0.0, out=outputs)
         return (
             outputs.reshape(batch, out_height, out_width, layer.out_channels)
             .transpose(0, 3, 1, 2)

@@ -11,13 +11,13 @@ result is rescaled back to floats before the activation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.dnn.quantization import QuantizedTensor, quantize_tensor
-from repro.utils.fixedpoint import FixedPointFormat
+from repro.utils.fixedpoint import FixedPointFormat, quantize_rows
 
 __all__ = ["DenseLayer", "QuantizedDenseLayer"]
 
@@ -100,9 +100,14 @@ class QuantizedDenseLayer:
         """Whether the layer applies a ReLU."""
         return self.float_layer.relu
 
-    def quantize_activations(self, inputs: np.ndarray) -> QuantizedTensor:
-        """Quantise an activation batch to the configured width."""
-        return quantize_tensor(np.asarray(inputs, dtype=np.float64), self.activation_bits)
+    def quantize_activations(self, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Quantise an activation batch to the configured width, row by row.
+
+        Each row (one input of the batch) has its own scale, so its codes
+        do not depend on its batchmates.  Returns ``(int64 codes, float64
+        scale per row)``: the codes :meth:`forward` sends to the matmul.
+        """
+        return quantize_rows(inputs, self.activation_bits)
 
     def integer_matmul_reference(
         self, activation_codes: np.ndarray
@@ -122,17 +127,16 @@ class QuantizedDenseLayer:
         receives (activation codes, weight codes) and must return the int64
         product matrix.
         """
-        activations = self.quantize_activations(inputs)
+        codes, scales = self.quantize_activations(inputs)
         if matmul is None:
-            accumulator = self.integer_matmul_reference(activations.codes)
+            accumulator = self.integer_matmul_reference(codes)
         else:
-            accumulator = matmul(activations.codes, self.quantized_weights.codes)
-        outputs = (
-            accumulator.astype(np.float64)
-            * activations.scale
-            * self.quantized_weights.scale
-            + self.float_layer.bias
-        )
+            accumulator = matmul(codes, self.quantized_weights.codes)
+        # Each row's scale applies after its integer accumulation.
+        outputs = accumulator.astype(np.float64)
+        outputs *= scales[:, None]
+        outputs *= self.quantized_weights.scale
+        outputs += self.float_layer.bias
         return _relu(outputs) if self.relu else outputs
 
     def mac_count(self, batch: int) -> int:

@@ -1,8 +1,10 @@
 """Symmetric fixed-point quantisation for IMC inference.
 
-Weights and activations are quantised to signed integers of 2/4/8 bits using
-the symmetric per-tensor scheme of :class:`repro.utils.fixedpoint
-.FixedPointFormat`.  The integer codes are what the IMC macro actually
+Weights and activations are quantised to signed integers of 2/4/8 bits with
+symmetric scales: weights per tensor (:func:`quantize_tensor`, on
+:class:`repro.utils.fixedpoint.FixedPointFormat`), activations per image
+(:func:`repro.utils.fixedpoint.quantize_rows`, called by the dense and conv
+layers).  The integer codes are what the IMC macro actually
 multiplies/accumulates; the scales are folded back in after the integer
 arithmetic, exactly as an integer-only inference accelerator would.
 """

@@ -102,7 +102,7 @@ class ShadowNode(ClusterNode):
         model_id: str,
         parts: Sequence[Tuple[np.ndarray, Optional[str]]],
         total: int,
-    ) -> Tuple[np.ndarray, Tuple[int, float, float, int], bool]:
+    ) -> Tuple[np.ndarray, Tuple[int, float, float, int], Tuple[bool, ...]]:
         """Charge the group; its predictions stay sentinel-filled."""
         totals = self._charge_batches(model_id, parts[0][0].shape, total)
         # Predictions are argmax class indices (always >= 0), so -1 is an
@@ -110,7 +110,7 @@ class ShadowNode(ClusterNode):
         # arrived is loudly wrong instead of silently plausible.
         grouped = np.full((total,), -1, dtype=np.int64)
         self._pending = PendingGroup(model_id, parts, grouped)
-        return grouped, totals, False
+        return grouped, totals, (False,) * len(parts)
 
 
 class FleetRouter(ClusterRouter):

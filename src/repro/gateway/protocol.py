@@ -381,8 +381,9 @@ def decode_images(payload: dict) -> np.ndarray:
             f"images data holds {len(raw)} bytes, shape {shape} needs {expected}"
         )
     images = np.frombuffer(raw, dtype=WIRE_DTYPE).reshape(shape)
-    # The activation scale is shared by a whole coalesced batch: one NaN or
-    # infinity would change every batchmate's predictions.
+    # A NaN or infinity has no integer code: its image's activation scale
+    # would not be finite, and the failed forward would take down every
+    # request coalesced into the same dispatch.
     if not np.isfinite(images).all():
         raise ProtocolError("images must be finite (no NaN or infinity)")
     return images.copy()

@@ -222,8 +222,8 @@ class InferenceServer:
 
         Raises:
             ConfigurationError: The tensor is not 4-D, the batch is
-                empty, or a pixel is NaN or infinite (the batch's shared
-                activation scale would poison every batchmate).
+                empty, or a pixel is NaN or infinite (it has no integer
+                code, and its failed forward would fail every batchmate).
         """
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4:

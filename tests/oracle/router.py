@@ -585,7 +585,9 @@ class ObjectRouter:
         total_images = sum(request.image_count for request, _ in group)
         results: List[ClusterResult] = []
         coalesced = len(group)
-        for (request, decision), request_predictions in zip(group, predictions):
+        for (request, decision), request_predictions, spot_checked in zip(
+            group, predictions, dispatch.spot_checked
+        ):
             if coalesced == 1:
                 compute_share = dispatch.compute_s
                 energy_share = dispatch.energy_j
@@ -630,7 +632,7 @@ class ObjectRouter:
                 feasible_at_admission=decision.feasible,
                 execution_mode=dispatch.execution_mode,
                 coalesced=coalesced,
-                spot_checked=dispatch.spot_checked,
+                spot_checked=spot_checked,
                 replayed=request.request_id in self._replayed,
                 span_id=span_id,
             )

@@ -446,8 +446,9 @@ class TestRouterAccounting:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_request_cannot_poison_its_coalesced_batchmates(self, trained, bad):
-        # The activation scale is shared by a coalesced batch: admitted, one
-        # NaN pixel turned every batchmate's prediction into class 0.
+        # A non-finite pixel has no integer code.  Admitted, it would fail
+        # its forward and with it the dispatch of every coalesced batchmate;
+        # refused, the batchmates are served as if it never came.
         dataset, model_a, _ = trained
         good = dataset.test_images[:8]
         with _router({"a": model_a}, vdds=(0.9,), coalesce=True) as router:

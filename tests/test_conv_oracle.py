@@ -1,16 +1,20 @@
 """Differential suite: the quantised conv forward against its frozen oracle.
 
 :meth:`repro.dnn.conv.QuantizedConv2DLayer.forward` quantises each pixel
-once, under the scale of the pixels the windows cover, and lowers the
-integer codes; ``oracle.conv`` keeps the original forward, which lowers the
-images first and quantises the ``k^2``-fold im2col matrix.  Quantisation is
-elementwise and the gather only copies, so the two must agree bit for bit —
-on the golden int64 backend, and on a :class:`TiledMatmulEngine`, whose
-macro ledgers, engine counters and last dispatch must match as well.
+once, under its image's scale (set by the pixels that image's windows
+cover), and lowers the integer codes; ``oracle.conv`` keeps the original
+forward, which lowers the images first and quantises the ``k^2``-fold
+im2col matrix under one scale for the whole batch.  A batch of one has one
+scale either way, so every image of a batch must come out bit for bit as
+the oracle computes it for that image alone.  Charges do not depend on the
+data, so on a :class:`TiledMatmulEngine` the macro ledgers, engine counters,
+last dispatch and cache state of a batch must match the oracle's run on the
+same batch.
 
 The sweep covers strides above the kernel size (windows with gaps between
 them, whose pixels must not set the scale) and all-zero, constant, negative
-and outlier inputs.
+and outlier inputs, and batches whose images' own scales differ by orders
+of magnitude.
 """
 
 import dataclasses
@@ -25,7 +29,7 @@ from repro.core.config import MacroConfig
 from repro.core.matmul import TiledMatmulEngine
 from repro.dnn.conv import Conv2DLayer, QuantizedConv2DLayer
 
-INPUT_KINDS = ("normal", "zero", "constant", "negative", "outlier")
+INPUT_KINDS = ("normal", "zero", "constant", "negative", "outlier", "mixed")
 
 
 def _engine():
@@ -55,6 +59,11 @@ def _images(kind, shape, seed):
         # One large pixel anywhere: in a window, in a stride gap, or past
         # the last window — only the first may set the scale.
         values.reshape(-1)[rng.integers(values.size)] = 40.0 * rng.choice((-1.0, 1.0))
+    if kind == "mixed":
+        # Each image at its own magnitude, one of them all-zero: batchmates'
+        # scales differ by up to six orders of magnitude.
+        values *= 10.0 ** rng.uniform(-3.0, 3.0, size=(shape[0], 1, 1, 1))
+        values[rng.integers(shape[0])] = 0.0
     return values
 
 
@@ -95,12 +104,19 @@ def _bits(array):
     return np.ascontiguousarray(array).tobytes()
 
 
+def _assert_each_image_matches_the_oracle_alone(layer, images, outputs):
+    assert outputs.shape[0] == images.shape[0]
+    for index in range(images.shape[0]):
+        alone = quantized_conv_forward(layer, images[index : index + 1])
+        assert _bits(outputs[index]) == _bits(alone[0]), f"image {index}"
+
+
 class TestQuantiseBeforeLoweringMatchesOracle:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     @given(case=conv_cases())
     def test_golden_backend_bit_identical(self, kind, case):
         layer, images = _build(case, kind)
-        assert _bits(layer.forward(images)) == _bits(quantized_conv_forward(layer, images))
+        _assert_each_image_matches_the_oracle_alone(layer, images, layer.forward(images))
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     @given(case=conv_cases())
@@ -109,8 +125,8 @@ class TestQuantiseBeforeLoweringMatchesOracle:
         new_engine, oracle_engine = _engine(), _engine()
         for _ in range(2):  # cold (programming charged) then warm
             got = layer.forward(images, matmul=new_engine)
-            want = quantized_conv_forward(layer, images, matmul=oracle_engine)
-            assert _bits(got) == _bits(want)
+            quantized_conv_forward(layer, images, matmul=oracle_engine)
+            _assert_each_image_matches_the_oracle_alone(layer, images, got)
         assert _macro_records(new_engine) == _macro_records(oracle_engine)
         assert dataclasses.asdict(new_engine.counters) == dataclasses.asdict(
             oracle_engine.counters
@@ -130,4 +146,4 @@ class TestQuantiseBeforeLoweringMatchesOracle:
         spiked[:, :, 2, :] = 1e6  # row 2 lies in the gap after the first windows
         spiked[:, :, :, 8] = -1e6  # column 8 lies past the last window
         assert _bits(layer.forward(spiked)) == _bits(layer.forward(images))
-        assert _bits(layer.forward(spiked)) == _bits(quantized_conv_forward(layer, spiked))
+        _assert_each_image_matches_the_oracle_alone(layer, spiked, layer.forward(spiked))

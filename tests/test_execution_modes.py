@@ -29,6 +29,7 @@ from repro.core.config import MacroConfig
 from repro.core.matmul import TiledMatmulEngine
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
 from repro.errors import ConfigurationError
+from repro.gateway.__main__ import build_demo_router
 from repro.utils.validation import check_ledger_conservation
 
 
@@ -249,6 +250,26 @@ class TestNodeFidelity:
         node.execute("cnn", dataset.test_images[4:8])
         assert memo.misses == 2 and memo.hits == 1
 
+    def test_a_memo_entry_cannot_be_edited_through_a_result(self, trained):
+        # Every request carrying a digest is handed the same memoised array;
+        # an edit through one result would change every later answer.
+        dataset, _ = trained
+        router = build_demo_router(nodes=2, num_macros=8, mode="analytic", coalesce=True)
+        images = dataset.test_images[:2]
+        answers = []
+        for _ in range(3):  # cold (direct dispatch), then warm
+            rid = router.submit("cnn", images, input_digest="x")
+            router.drain()
+            predictions = router.result(rid).predictions
+            with pytest.raises(ValueError, match="read-only"):
+                predictions[:] = 99
+            answers.append(predictions.tolist())
+        assert answers[0] == answers[1] == answers[2]
+        assert 99 not in answers[0]
+        node = router.nodes[0]
+        dispatch = node.execute("cnn", images, input_digest="x")
+        assert not dispatch.predictions.flags.writeable
+
     def test_spot_check_catches_lying_digests(self, trained):
         dataset, cnn = trained
         node = ClusterNode(
@@ -276,6 +297,33 @@ class TestNodeFidelity:
         for _ in range(5):
             node.execute("cnn", dataset.test_images[:4], input_digest="d")
         assert node.spot_checks == 2
+
+    def test_a_spot_check_is_stamped_only_on_the_request_it_audited(self, trained):
+        # Three coalesced requests, one of them a memo hit: only the hit is
+        # re-run, so only its trace may say it was audited.  The first round
+        # takes the deferred-charge dispatch, the second (results were read
+        # back in between) the direct one.
+        dataset, cnn = trained
+        images = dataset.test_images
+        node = ClusterNode(
+            "a", num_macros=16, execution_mode=ExecutionMode.ANALYTIC, spot_check_every=1
+        )
+        router = ClusterRouter([node], coalesce=True)
+        router.register_model("cnn", cnn)
+        router.submit("cnn", images[:2], arrival_s=0.0, input_digest="hit")
+        router.drain()
+        for round_ in range(2):
+            ids = [
+                router.submit("cnn", images[2:5], arrival_s=0.0, input_digest=f"miss{round_}a"),
+                router.submit("cnn", images[:2], arrival_s=0.0, input_digest="hit"),
+                router.submit("cnn", images[5:6], arrival_s=0.0, input_digest=f"miss{round_}b"),
+            ]
+            router.drain()
+            traces = [router.result(rid).trace for rid in ids]
+            assert [trace.coalesced for trace in traces] == [3, 3, 3]
+            assert [trace.spot_checked for trace in traces] == [False, True, False]
+        assert node.spot_checks == 2
+        assert router.telemetry.summary()["spot_checked_requests"] == 2.0
 
     def test_estimate_cache_tracks_residency_changes(self, trained):
         dataset, cnn = trained

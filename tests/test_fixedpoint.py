@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.fixedpoint import FixedPointFormat, dequantize_value, quantize_value
+from repro.utils.fixedpoint import (
+    FixedPointFormat,
+    dequantize_value,
+    quantize_rows,
+    quantize_value,
+)
 
 
 class TestFixedPointFormat:
@@ -67,6 +72,36 @@ class TestFixedPointFormat:
         fmt = FixedPointFormat(width=8, scale=0.01)
         pattern = fmt.encode(-0.5)
         assert fmt.decode(pattern) == pytest.approx(-0.5, abs=0.01)
+
+
+class TestQuantizeRows:
+    def test_each_row_gets_the_scale_and_codes_of_its_own_format(self):
+        magnitudes = np.array([[1e-3], [1.0], [0.0], [1e3], [-2.0]])
+        rows = np.random.default_rng(3).normal(size=(5, 7)) * magnitudes
+        codes, scales = quantize_rows(rows, 4)
+        for row, row_codes, scale in zip(rows, codes, scales):
+            fmt = FixedPointFormat.for_tensor(row, 4)
+            assert scale == fmt.scale
+            assert row_codes.tolist() == fmt.quantize(row).tolist()
+
+    @pytest.mark.parametrize("tiny", [1e-322, -5e-324])
+    def test_a_row_whose_scale_underflows_quantises_like_a_zero_row(self, tiny):
+        # max |x| / 127 rounds to 0.0: dividing by it would turn the row's
+        # zeros into NaN codes.  The row takes the zero row's scale instead.
+        rows = np.array([[tiny, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, -0.5, 0.25]])
+        codes, scales = quantize_rows(rows, 8)
+        assert scales[0] == scales[1] == 1.0 / 127 and scales[2] == 1.0 / 127
+        assert codes.tolist() == [[0, 0, 0], [0, 0, 0], [127, -64, 32]]
+        fmt = FixedPointFormat.for_tensor(rows[0], 8)
+        assert fmt.scale == scales[0]
+        assert fmt.quantize(rows[0]).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_a_non_finite_row(self, bad):
+        rows = np.ones((3, 4))
+        rows[1, 2] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            quantize_rows(rows, 8)
 
 
 class TestScalarHelpers:
