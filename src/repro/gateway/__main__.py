@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 
 from repro.cluster import ClusterNode, ClusterRouter, ExecutionMode, ForwardMemo
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
@@ -171,6 +172,9 @@ def main(argv=None) -> int:
         "(reconcile with: python -m repro.gateway.journal PATH)",
     )
     arguments = parser.parse_args(argv)
+    # asyncio.run drains on SIGINT only from the default handler, and a
+    # shell starts `cmd &` with SIGINT ignored (main() runs on the main thread).
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         # On 3.11+ asyncio.Runner turns SIGINT into cancellation of the
         # main task; _serve absorbs it after draining, so asyncio.run

@@ -1,13 +1,17 @@
 """Client SDK for the gateway wire protocol: sync + async, pool + retry.
 
-Two clients share the protocol module and the retry policy:
-
 * :class:`GatewayClient` — synchronous, built on blocking sockets behind a
   thread-safe connection pool (one request in flight per pooled
   connection); the ergonomic entry point for scripts and notebooks;
 * :class:`AsyncGatewayClient` — asyncio, one connection, *pipelined*: many
   requests in flight at once, demultiplexed by the request ``id`` the
   protocol echoes back.  The load generator's building block.
+
+Both drive one sans-I/O decision core, ``_Call``, which owns every
+decision of a ``predict`` call; each ``predict`` only sends, hands the
+reply back, and sleeps, re-sends or returns as told.  Transport stays in
+the clients: the sync pool's reconnect-once and breaker, the async
+demultiplexer and hedging.
 
 Both honour the server's explicit backpressure: a ``BUSY`` frame is
 retried after a **full-jitter** exponential backoff —
@@ -42,7 +46,9 @@ Image tensors are transferred once: the SDK computes the wire content
 digest locally (:func:`~repro.gateway.protocol.images_digest`), optimistically
 sends ``images_ref``, and falls back to a full ``images`` payload when the
 server answers ``unknown_images_ref`` (a restarted server loses its
-cache).
+cache) — even when no BUSY retry is left.  When the async client's one
+stream dies (EOF, reset, a failed write, or :meth:`~AsyncGatewayClient.close`)
+every pending and later request fails with :class:`GatewayError`.
 """
 
 from __future__ import annotations
@@ -301,44 +307,145 @@ def _backoff_delay_s(
     return min(cap_s, max(hint_s, ceiling))
 
 
-def _request_payload(
-    wire_id,
-    model_id: str,
-    images: np.ndarray,
-    ref: str,
-    send_full: bool,
-    sla: str,
-    deadline_s: Optional[float],
-    budget_s: Optional[float] = None,
-) -> dict:
-    """Build one REQUEST payload, by reference or with the full tensor.
+#: The ``counters`` keys of both clients.  The async client has no pool
+#: and no breaker, so its ``reconnects`` and ``breaker_rejections`` stay 0.
+_COUNTERS = (
+    "requests",
+    "busy_retries",
+    "reconnects",
+    "transport_errors",
+    "shed",
+    "expired_local",
+    "breaker_rejections",
+)
 
-    ``budget_s`` is the *remaining* wall-clock budget at send time — each
-    retry stamps a smaller value, which is what lets the server shed work
-    whose caller has already timed out (deadline propagation).
+
+class _Call:
+    """The decisions of one ``predict`` call, free of I/O.
+
+    Digest reference or upload, the budget stamp, BUSY backoff, the
+    re-upload, error mapping, the result and the client's ``counters``
+    live here only, so the two clients cannot drift apart.  Each ``predict``
+    sends :meth:`payload`, hands the reply to :meth:`step`, and returns,
+    sleeps or re-sends as the step says; every terminal failure is raised here.
     """
-    payload: dict = {"id": wire_id, "model_id": model_id, "sla": sla}
-    if deadline_s is not None:
-        payload["deadline_s"] = deadline_s
-    if budget_s is not None:
-        payload["budget_s"] = budget_s
-    if send_full:
-        payload["images"] = encode_images(images)
-    else:
-        payload["images_ref"] = ref
-    return payload
 
+    def __init__(self, client, model_id, images, sla, deadline_s, budget_s) -> None:
+        self._client = client
+        self._images = np.asarray(images, dtype=np.float64)
+        self._ref = images_digest(self._images)
+        self._send_full = self._ref not in client._known_refs
+        self._fields: dict = {"model_id": model_id, "sla": sla}
+        if deadline_s is not None:
+            self._fields["deadline_s"] = deadline_s
+        self._budget_s = budget_s
+        self._started = time.perf_counter()
+        self._slept_s = 0.0
+        self.attempts = 0  # REQUESTs sent, a re-upload included
+        client.counters["requests"] += 1
 
-def _result_from_response(payload: dict, attempts: int, latency_s: float) -> GatewayResult:
-    """Convert a RESPONSE payload into a :class:`GatewayResult`."""
-    return GatewayResult(
-        predictions=np.asarray(payload["predictions"]),
-        request_id=int(payload["request_id"]),
-        trace=payload.get("trace", {}),
-        images_ref=payload.get("images_ref"),
-        attempts=attempts,
-        wire_latency_s=latency_s,
-    )
+    def payload(self) -> dict:
+        """The next attempt's REQUEST payload under a fresh wire id.
+
+        Each attempt stamps the *remaining* ``budget_s``, which is what
+        lets the server shed work whose caller has already timed out.
+
+        Raises:
+            DeadlineExpiredError: The budget is spent; nothing may be sent.
+        """
+        client = self._client
+        remaining_s = None
+        if self._budget_s is not None:
+            elapsed_s = time.perf_counter() - self._started
+            remaining_s = self._budget_s - elapsed_s
+            if remaining_s <= 0.0:
+                client.counters["expired_local"] += 1
+                raise DeadlineExpiredError(
+                    f"deadline budget {self._budget_s}s expired before attempt "
+                    f"{self.attempts + 1}",
+                    elapsed_s=elapsed_s,
+                )
+        payload = {"id": next(client._ids), **self._fields}
+        if remaining_s is not None:
+            payload["budget_s"] = remaining_s
+        if self._send_full:
+            payload["images"] = encode_images(self._images)
+        else:
+            payload["images_ref"] = self._ref
+        self.attempts += 1
+        return payload
+
+    def step(self, frame_type: FrameType, reply: dict, latency_s: float):
+        """Decide what the reply to the last :meth:`payload` means.
+
+        Returns:
+            The :class:`GatewayResult` on a RESPONSE; otherwise the seconds
+            to sleep before the next attempt, or ``None`` to send it now.
+
+        Raises:
+            GatewayBusyError: BUSY with no retry left.
+            RetryBudgetExceeded: The next backoff would overrun the budget.
+            GatewayShedError: The server shed the request.
+            GatewayRequestError: Any other ERROR code.
+            GatewayError: A frame type no REQUEST is answered with.
+        """
+        client = self._client
+        attempt = self.attempts - 1
+        if frame_type is FrameType.RESPONSE:
+            client._known_refs.add(self._ref)
+            return GatewayResult(
+                predictions=np.asarray(reply["predictions"]),
+                request_id=int(reply["request_id"]),
+                trace=reply.get("trace", {}),
+                images_ref=reply.get("images_ref"),
+                attempts=self.attempts,
+                wire_latency_s=latency_s,
+            )
+        if frame_type is FrameType.BUSY:
+            hint_s = float(reply.get("retry_after_s", 0.0))
+            draining = bool(reply.get("draining", False))
+            if attempt >= client.retries:
+                raise GatewayBusyError(
+                    f"server still busy after {self.attempts} attempts",
+                    retry_after_s=hint_s,
+                    draining=draining,
+                )
+            delay_s = _backoff_delay_s(
+                attempt,
+                hint_s,
+                client.backoff_base_s,
+                client.backoff_cap_s,
+                rng=client._rng,
+            )
+            retry_budget_s = client.retry_budget_s
+            if retry_budget_s is not None and self._slept_s + delay_s > retry_budget_s:
+                raise RetryBudgetExceeded(
+                    f"retry budget {retry_budget_s}s exhausted after {self.attempts} attempts",
+                    retry_after_s=hint_s,
+                    draining=draining,
+                )
+            client.counters["busy_retries"] += 1
+            self._slept_s += delay_s
+            return delay_s
+        if frame_type is not FrameType.ERROR:
+            raise GatewayError(f"unexpected frame {frame_type.name} to a request")
+        code = reply.get("code", "unknown")
+        if code == "unknown_images_ref" and not self._send_full:
+            # The server lost the tensor (a restart or an LRU eviction):
+            # upload it once, whether or not a BUSY retry is left.
+            client._known_refs.discard(self._ref)
+            self._send_full = True
+            return None
+        if code == "shed":
+            client.counters["shed"] += 1
+            raise GatewayShedError(code, reply.get("message", ""))
+        if code == "malformed_frame" and attempt < client.retries:
+            # The request bytes were mangled in transit: the server never
+            # parsed them (re-sending cannot double-execute) and closes the
+            # stream after this courtesy frame.
+            client.counters["transport_errors"] += 1
+            return None
+        raise GatewayRequestError(code, reply.get("message", ""))
 
 
 class _PooledConnection:
@@ -440,15 +547,7 @@ class GatewayClient:
         self._known_refs: set = set()
         self._closed = False
         #: Client-side resilience accounting (monotonic totals).
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "busy_retries": 0,
-            "reconnects": 0,
-            "transport_errors": 0,
-            "shed": 0,
-            "expired_local": 0,
-            "breaker_rejections": 0,
-        }
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
 
     # ------------------------------------------------------------------ #
     # Pool plumbing
@@ -526,85 +625,16 @@ class GatewayClient:
             GatewayError: The connection died repeatedly or the server
                 answered out of protocol.
         """
-        images = np.asarray(images, dtype=np.float64)
-        ref = images_digest(images)
-        send_full = ref not in self._known_refs
-        last_hint = 0.0
-        draining = False
-        started = time.perf_counter()
-        slept_s = 0.0
-        self.counters["requests"] += 1
-        for attempt in range(self.retries + 1):
-            remaining_s = None
-            if budget_s is not None:
-                remaining_s = budget_s - (time.perf_counter() - started)
-                if remaining_s <= 0.0:
-                    self.counters["expired_local"] += 1
-                    raise DeadlineExpiredError(
-                        f"deadline budget {budget_s}s expired before attempt "
-                        f"{attempt + 1}",
-                        elapsed_s=time.perf_counter() - started,
-                    )
-            wire_id = next(self._ids)
-            payload = _request_payload(
-                wire_id, model_id, images, ref, send_full, sla, deadline_s,
-                budget_s=remaining_s,
-            )
-            frame_type, reply, latency_s = self._roundtrip(
-                encode_frame(FrameType.REQUEST, payload)
-            )
-            if frame_type is FrameType.RESPONSE:
-                self._known_refs.add(ref)
-                return _result_from_response(reply, attempt + 1, latency_s)
-            if frame_type is FrameType.BUSY:
-                last_hint = float(reply.get("retry_after_s", 0.0))
-                draining = bool(reply.get("draining", False))
-                if attempt < self.retries:
-                    delay_s = _backoff_delay_s(
-                        attempt,
-                        last_hint,
-                        self.backoff_base_s,
-                        self.backoff_cap_s,
-                        rng=self._rng,
-                    )
-                    if (
-                        self.retry_budget_s is not None
-                        and slept_s + delay_s > self.retry_budget_s
-                    ):
-                        raise RetryBudgetExceeded(
-                            f"retry budget {self.retry_budget_s}s exhausted "
-                            f"after {attempt + 1} attempts",
-                            retry_after_s=last_hint,
-                            draining=draining,
-                        )
-                    self.counters["busy_retries"] += 1
-                    slept_s += delay_s
-                    self._sleep(delay_s)
-                continue
-            if frame_type is FrameType.ERROR:
-                code = reply.get("code", "unknown")
-                if code == "unknown_images_ref" and not send_full:
-                    # A restarted server lost its cache: re-upload once.
-                    self._known_refs.discard(ref)
-                    send_full = True
-                    continue
-                if code == "shed":
-                    self.counters["shed"] += 1
-                    raise GatewayShedError(code, reply.get("message", ""))
-                if code == "malformed_frame" and attempt < self.retries:
-                    # The request bytes were mangled in transit: the server
-                    # never parsed them (re-sending cannot double-execute)
-                    # and closes the stream after this courtesy frame.  The
-                    # next attempt reconnects and re-sends.
-                    self.counters["transport_errors"] += 1
-                    continue
-                raise GatewayRequestError(code, reply.get("message", ""))
-            raise GatewayError(f"unexpected frame {frame_type.name} to a request")
-        raise GatewayBusyError(
-            f"server still busy after {self.retries + 1} attempts",
-            retry_after_s=last_hint,
-            draining=draining,
-        )
+        call = _Call(self, model_id, images, sla, deadline_s, budget_s)
+        while True:
+            # After malformed_frame the server has closed this stream, so
+            # the re-send takes _roundtrip's reconnect.
+            frame = encode_frame(FrameType.REQUEST, call.payload())
+            outcome = call.step(*self._roundtrip(frame))
+            if isinstance(outcome, GatewayResult):
+                return outcome
+            if outcome is not None:
+                self._sleep(outcome)
 
     def ping(self) -> float:
         """Round-trip a PING; returns the wall-clock latency in seconds."""
@@ -754,7 +784,11 @@ class AsyncGatewayClient:
         self._waiters: Dict[object, asyncio.Future] = {}
         self._ids = itertools.count()
         self._known_refs: set = set()
+        #: Why the stream ended (None while up); exchanges then fail with it.
+        self._ended: Optional[str] = "client is not connected"
         self.drained = False
+        #: Client-side resilience accounting (the sync client's keys).
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
         #: Hedging accounting: hedges issued / hedges whose copy won.
         self.hedges_sent = 0
         self.hedge_wins = 0
@@ -764,10 +798,12 @@ class AsyncGatewayClient:
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
+        self._ended = None
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     async def close(self) -> None:
-        """Close the stream and cancel the reader task (idempotent)."""
+        """Close the stream, failing requests in flight (idempotent)."""
+        self._end_stream("client is closed")
         if self._reader_task is not None:
             self._reader_task.cancel()
             try:
@@ -792,6 +828,15 @@ class AsyncGatewayClient:
         """Close on exit."""
         await self.close()
 
+    def _end_stream(self, reason: str) -> None:
+        """Record why the stream ended and fail every pending waiter with it."""
+        if self._ended is None:
+            self._ended = reason
+        waiters, self._waiters = self._waiters, {}
+        for waiter in waiters.values():
+            if not waiter.done():
+                waiter.set_exception(GatewayError(self._ended))
+
     async def _read_loop(self) -> None:
         """Route every inbound frame to the future waiting on its id."""
         decoder = FrameDecoder()
@@ -807,20 +852,24 @@ class AsyncGatewayClient:
                     waiter = self._waiters.pop(payload.get("id"), None)
                     if waiter is not None and not waiter.done():
                         waiter.set_result((frame_type, payload))
-        except asyncio.CancelledError:
-            raise
         except Exception as error:  # noqa: BLE001 - fan the failure out
-            for waiter in self._waiters.values():
-                if not waiter.done():
-                    waiter.set_exception(GatewayError(str(error)))
-            self._waiters.clear()
+            self._end_stream(str(error) or type(error).__name__)
 
     async def _exchange(self, frame_type: FrameType, payload: dict):
-        """Send one frame and await the reply frame with the same id."""
+        """Send one frame and await the reply frame with the same id.
+
+        Raises:
+            GatewayError: The stream has ended, or ends before the reply.
+        """
+        if self._ended is not None:
+            raise GatewayError(self._ended)
         waiter = asyncio.get_event_loop().create_future()
         self._waiters[payload["id"]] = waiter
-        self._writer.write(encode_frame(frame_type, payload))
-        await self._writer.drain()
+        try:
+            self._writer.write(encode_frame(frame_type, payload))
+            await self._writer.drain()
+        except OSError as error:  # a reset or broken pipe fails the stream
+            self._end_stream(f"write failed: {error}")
         try:
             return await waiter
         finally:
@@ -829,27 +878,23 @@ class AsyncGatewayClient:
             # never accumulate.
             self._waiters.pop(payload["id"], None)
 
-    async def _exchange_hedged(
-        self, build_payload, hedge_after_s: float
-    ):
+    async def _exchange_hedged(self, payload: dict, hedge_after_s: float):
         """One REQUEST exchange with a single hedged re-send.
 
         The primary is sent immediately; if no reply lands within
-        ``hedge_after_s`` a *copy under a fresh wire id* is sent and the
-        first reply of either wins.  Only safe for idempotent requests
-        (``images_ref``-only re-sends of memoized inference) — both copies
-        may execute.  The loser's reply is discarded by the demultiplexer
-        when it eventually arrives.
+        ``hedge_after_s`` a *copy under a fresh wire id* (same
+        ``budget_s`` stamp) is sent and the first reply of either wins.
+        Only safe for idempotent requests (``images_ref``-only re-sends of
+        memoized inference) — both copies may execute.  The loser's reply
+        is discarded by the demultiplexer when it eventually arrives.
         """
-        primary = asyncio.ensure_future(
-            self._exchange(FrameType.REQUEST, build_payload(next(self._ids)))
-        )
+        primary = asyncio.ensure_future(self._exchange(FrameType.REQUEST, payload))
         done, _ = await asyncio.wait({primary}, timeout=hedge_after_s)
         if done:
             return primary.result()
         self.hedges_sent += 1
         hedge = asyncio.ensure_future(
-            self._exchange(FrameType.REQUEST, build_payload(next(self._ids)))
+            self._exchange(FrameType.REQUEST, dict(payload, id=next(self._ids)))
         )
         done, pending = await asyncio.wait(
             {primary, hedge}, return_when=asyncio.FIRST_COMPLETED
@@ -897,82 +942,19 @@ class AsyncGatewayClient:
             GatewayRequestError: The server rejected or failed the request.
             GatewayError: The stream failed.
         """
-        images = np.asarray(images, dtype=np.float64)
-        ref = images_digest(images)
-        send_full = ref not in self._known_refs
-        last_hint = 0.0
-        draining = False
-        call_started = time.perf_counter()
-        slept_s = 0.0
-        for attempt in range(self.retries + 1):
-            remaining_s = None
-            if budget_s is not None:
-                remaining_s = budget_s - (time.perf_counter() - call_started)
-                if remaining_s <= 0.0:
-                    raise DeadlineExpiredError(
-                        f"deadline budget {budget_s}s expired before attempt "
-                        f"{attempt + 1}",
-                        elapsed_s=time.perf_counter() - call_started,
-                    )
-
-            def _build_payload(wire_id, _remaining=remaining_s, _full=send_full):
-                return _request_payload(
-                    wire_id, model_id, images, ref, _full, sla, deadline_s,
-                    budget_s=_remaining,
-                )
-
+        call = _Call(self, model_id, images, sla, deadline_s, budget_s)
+        while True:
+            payload = call.payload()
             started = time.perf_counter()
-            if hedge_after_s is not None and not send_full:
-                frame_type, reply = await self._exchange_hedged(
-                    _build_payload, hedge_after_s
-                )
+            if hedge_after_s is not None and "images_ref" in payload:
+                reply = await self._exchange_hedged(payload, hedge_after_s)
             else:
-                frame_type, reply = await self._exchange(
-                    FrameType.REQUEST, _build_payload(next(self._ids))
-                )
-            latency_s = time.perf_counter() - started
-            if frame_type is FrameType.RESPONSE:
-                self._known_refs.add(ref)
-                return _result_from_response(reply, attempt + 1, latency_s)
-            if frame_type is FrameType.BUSY:
-                last_hint = float(reply.get("retry_after_s", 0.0))
-                draining = bool(reply.get("draining", False))
-                if attempt < self.retries:
-                    delay_s = _backoff_delay_s(
-                        attempt,
-                        last_hint,
-                        self.backoff_base_s,
-                        self.backoff_cap_s,
-                        rng=self._rng,
-                    )
-                    if (
-                        self.retry_budget_s is not None
-                        and slept_s + delay_s > self.retry_budget_s
-                    ):
-                        raise RetryBudgetExceeded(
-                            f"retry budget {self.retry_budget_s}s exhausted "
-                            f"after {attempt + 1} attempts",
-                            retry_after_s=last_hint,
-                            draining=draining,
-                        )
-                    slept_s += delay_s
-                    await self._sleep(delay_s)
-                continue
-            if frame_type is FrameType.ERROR:
-                code = reply.get("code", "unknown")
-                if code == "unknown_images_ref" and not send_full:
-                    self._known_refs.discard(ref)
-                    send_full = True
-                    continue
-                if code == "shed":
-                    raise GatewayShedError(code, reply.get("message", ""))
-                raise GatewayRequestError(code, reply.get("message", ""))
-            raise GatewayError(f"unexpected frame {frame_type.name} to a request")
-        raise GatewayBusyError(
-            f"server still busy after {self.retries + 1} attempts",
-            retry_after_s=last_hint,
-            draining=draining,
-        )
+                reply = await self._exchange(FrameType.REQUEST, payload)
+            outcome = call.step(*reply, time.perf_counter() - started)
+            if isinstance(outcome, GatewayResult):
+                return outcome
+            if outcome is not None:
+                await self._sleep(outcome)
 
     async def cancel(self, target_id) -> bool:
         """Unwind one queued request by its wire id (revision-3 CANCEL).

@@ -10,6 +10,8 @@ oracle boundary: nothing under ``src/`` may import ``tests/oracle/``.
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,24 @@ class TestPackageMetadata:
 
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("field", ["name", "version"])
+    def test_setup_py_declares_the_package(self, field):
+        # README installs with `pip install -e .`; setup.py must name the
+        # package and carry repro.__version__.  Neither query writes files.
+        pytest.importorskip("setuptools")
+        import repro
+
+        expected = {"name": "repro", "version": repro.__version__}[field]
+        done = subprocess.run(
+            [sys.executable, "setup.py", f"--{field}"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == expected
 
 
 class TestOracleBoundary:

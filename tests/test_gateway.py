@@ -1136,3 +1136,47 @@ class TestImagesRefCache:
         stats = gateway.server.snapshot()
         assert stats["errors_sent"] == 1
         assert stats["responses_sent"] == 3
+
+
+# --------------------------------------------------------------------- #
+# The operator CLI
+# --------------------------------------------------------------------- #
+class TestCli:
+    @pytest.mark.timeout(60)
+    def test_drains_on_sigint_when_started_with_sigint_ignored(self):
+        # A non-interactive shell starts `cmd &` with SIGINT ignored, and
+        # asyncio only turns SIGINT into a drain from its default handler.
+        import os
+        import select
+        import signal
+        import subprocess
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.gateway", "--port", "0", "--nodes", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            seen = b""
+            deadline = time.monotonic() + 30.0
+            while b"gateway serving" not in seen:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, seen
+                if select.select([process.stdout], [], [], remaining)[0]:
+                    chunk = os.read(process.stdout.fileno(), 4096)
+                    assert chunk, seen
+                    seen += chunk
+            process.send_signal(signal.SIGINT)
+            output, _ = process.communicate(timeout=10.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0
+        assert b"gateway stopped" in output
