@@ -13,8 +13,10 @@ virtual-time simulation, only observe it).
 
 Both sides run the router core in its aggregates-only deployment shape
 on the same diurnal trace (10^5 requests by default, 10^4 in smoke mode).
-Each side is replayed ``ROUNDS`` times and the best requests/sec is kept,
-so a single scheduler hiccup cannot fail the gate; fidelity is compared on
+Each side is timed by the CPU time of its replays, repeated within a round
+until the side has spent at least ``MIN_ROUND_CPU_S``; rounds alternate
+which side goes first, and the gate reads the median round's overhead, so
+a single scheduler hiccup cannot fail the gate.  Fidelity is compared on
 every run, so a single divergence *does* fail it.
 
 The instrumented run's final registry snapshot is written to
@@ -35,6 +37,7 @@ bench-regression CI gate.
 
 import gc
 import os
+import time
 
 from repro.analysis.report import format_table
 from repro.cluster import (
@@ -73,6 +76,10 @@ SAMPLE_EVERY = 1_024
 OVERHEAD_GATE = 0.10 if SMOKE else 0.05
 #: Timed bare/instrumented pairs (plus one untimed warm pair).
 ROUNDS = 5
+#: CPU time each side replays for in one timed round.  A smoke replay
+#: takes about 20 ms, whose jitter alone spans the gate, so short replays
+#: repeat: at least ``ROUNDS * MIN_ROUND_CPU_S`` = 1 s per side.
+MIN_ROUND_CPU_S = 0.2
 
 #: Host-wall fields excluded from the field-by-field fidelity comparison.
 _WALL_FIELDS = ("wall_s", "requests_per_s", "images_per_s")
@@ -103,10 +110,9 @@ def _make_trace(requests: int):
     )
 
 
-def _make_router(cnn, instrumented: bool):
+def _make_router(cnn, memo, instrumented: bool):
     """A 2-node aggregate-only router; node ids match on both sides so the
     ledger comparison is label-for-label identical."""
-    memo = ForwardMemo()
     nodes = [
         ClusterNode(
             f"node-{index}",
@@ -141,16 +147,19 @@ def _warm_up(router, pool) -> None:
                 node.execute("cnn", images, input_digest=digest)
 
 
-def _run_once(cnn, pool, requests: int, instrumented: bool):
-    """One measured replay, returning (comparable stats, registry, tracer)."""
+def _run_once(cnn, pool, memo, requests: int, instrumented: bool):
+    """One replay on a fresh router: (comparable stats, registry, tracer,
+    CPU seconds of the replay)."""
     trace = _make_trace(requests)
-    router, metrics, tracer = _make_router(cnn, instrumented)
+    router, metrics, tracer = _make_router(cnn, memo, instrumented)
     try:
         _warm_up(router, pool)
         # A GC pause mid-replay is a 10x outlier on a ~20 ms smoke replay;
         # collecting the warm-up garbage first keeps the timing comparable.
         gc.collect()
+        cpu_start = time.process_time()
         stats = router.replay_trace(trace, pool, drain_every=DRAIN_EVERY)
+        cpu_s = time.process_time() - cpu_start
         stats["completed"] = float(router.completed_requests)
         stats.update(router.telemetry.summary())
         ledger = router.ledger()
@@ -159,54 +168,76 @@ def _run_once(cnn, pool, requests: int, instrumented: bool):
         snapshot = metrics.snapshot() if metrics is not None else None
     finally:
         router.shutdown()
-    return stats, snapshot, tracer
+    return stats, snapshot, tracer, cpu_s
 
 
 def _measure(cnn, pool, requests: int, rounds: int) -> dict:
-    """Interleaved bare/instrumented replay pairs; median pair overhead.
+    """Rounds of interleaved, CPU-timed bare/instrumented replays; median
+    round overhead.
 
-    Two defenses against host noise on a ~0.3 s replay:
+    Three defenses against host noise:
 
-    * **pairing** — each round replays bare then instrumented back to
-      back, so a round's overhead ratio compares two runs under the same
-      few seconds of machine state (running all bare rounds first would
-      fold machine-speed drift straight into the estimate);
+    * **CPU time** — each replay is timed with ``time.process_time()``,
+      so time the process spends descheduled is charged to neither side;
+    * **long, interleaved rounds** — a round replays fresh routers in ABBA
+      order (bare, instrumented, instrumented, bare, ...) until each side
+      has used ``MIN_ROUND_CPU_S``, and the side that opens the round
+      alternates, so drift in machine speed falls on both sides alike;
     * **median** — the gate reads the median of the per-round overheads,
-      so a single descheduled round cannot fail (or pass) the bench.
+      so a single disturbed round cannot fail (or pass) the bench.
 
-    One untimed warm pair runs first to absorb process-level warmup.
-    Fidelity must hold on *every* run, including the warm pair.
+    One untimed warm round (one replay per side) runs first to absorb
+    process-level warmup; the forward memo is shared by every router, so
+    only that round pays the numeric forwards.  Fidelity must hold on
+    *every* run, including the warm round.
     """
-    bare_best = None
-    instr_best = None
-    snapshot = None
-    tracer = None
+    memo = ForwardMemo()
     runs = []
     overheads = []
+    cpu_s = {False: 0.0, True: 0.0}
+    replays = {False: 0, True: 0}
+    latest = None
     for round_index in range(rounds + 1):
-        bare_stats, _, _ = _run_once(cnn, pool, requests, False)
-        instr_stats, instr_snapshot, instr_tracer = _run_once(
-            cnn, pool, requests, True
-        )
-        runs.extend((bare_stats, instr_stats))
+        # Bare opens even rounds, so the warm round's first run (the
+        # fidelity reference) is bare.
+        first = bool(round_index % 2)
+        round_cpu_s = {False: 0.0, True: 0.0}
+        round_replays = {False: 0, True: 0}
+        minimum = MIN_ROUND_CPU_S if round_index else 0.0
+        slot = 0
+        while min(round_replays.values()) == 0 or min(round_cpu_s.values()) < minimum:
+            instrumented = first if slot % 4 in (0, 3) else not first
+            slot += 1
+            stats, snapshot, tracer, replay_cpu_s = _run_once(
+                cnn, pool, memo, requests, instrumented
+            )
+            runs.append(stats)
+            round_cpu_s[instrumented] += replay_cpu_s
+            round_replays[instrumented] += 1
+            if instrumented:
+                latest = (stats, snapshot, tracer)
         if round_index == 0:
-            continue  # warm pair: fidelity-checked, never timed
-        overheads.append(
-            1.0 - instr_stats["requests_per_s"] / bare_stats["requests_per_s"]
+            continue  # warm round: fidelity-checked, never timed
+        bare_rate, instr_rate = (
+            round_replays[side] / round_cpu_s[side] for side in (False, True)
         )
-        if bare_best is None or bare_stats["requests_per_s"] > bare_best["requests_per_s"]:
-            bare_best = bare_stats
-        if instr_best is None or instr_stats["requests_per_s"] > instr_best["requests_per_s"]:
-            instr_best = instr_stats
-            snapshot = instr_snapshot
-            tracer = instr_tracer
+        overheads.append(1.0 - instr_rate / bare_rate)
+        for side in (False, True):
+            cpu_s[side] += round_cpu_s[side]
+            replays[side] += round_replays[side]
     overheads.sort()
+    instrumented_stats, snapshot, tracer = latest
     return {
-        "bare": bare_best,
-        "instrumented": instr_best,
+        "bare": runs[0],
+        "instrumented": instrumented_stats,
         "snapshot": snapshot,
         "tracer": tracer,
         "runs": runs,
+        "timed_replays": {"bare": replays[False], "instrumented": replays[True]},
+        "cpu_requests_per_s": {
+            "bare": replays[False] * requests / cpu_s[False],
+            "instrumented": replays[True] * requests / cpu_s[True],
+        },
         "round_overheads": overheads,
         "overhead_fraction": overheads[len(overheads) // 2],
     }
@@ -254,23 +285,23 @@ def test_obs_overhead(benchmark, reporter, write_results_json):
     counted = _registry_request_count(snapshot)
     sampled = float(tracer.sampled_requests)
 
+    replays = measured["timed_replays"]
+    rates = measured["cpu_requests_per_s"]
     rows = [
-        [
-            "bare",
-            int(bare["requests"]),
-            f"{bare['requests_per_s']:.0f}",
-            "—",
-        ],
-        [
-            "instrumented",
-            int(instrumented["requests"]),
-            f"{instrumented['requests_per_s']:.0f}",
-            f"{overhead_fraction * 100:+.2f}%",
-        ],
+        [side, int(bare["requests"]), replays[side], f"{rates[side]:.0f}", overhead]
+        for side, overhead in (
+            ("bare", "—"),
+            ("instrumented", f"{overhead_fraction * 100:+.2f}%"),
+        )
     ]
+    rounds = measured["round_overheads"]
     reporter(
         "Observability overhead: columnar replay, metrics+tracing attached",
-        format_table(["router", "requests", "req/s", "overhead"], rows)
+        format_table(
+            ["router", "requests", "timed replays", "req/s (CPU)", "overhead"], rows
+        )
+        + f"\nround overheads {rounds[0] * 100:+.2f}% .. {rounds[-1] * 100:+.2f}% "
+        f"(median of {len(rounds)} gated)"
         + f"\nregistry counted {int(counted)} requests, "
         f"tracer sampled {int(sampled)} (1/{SAMPLE_EVERY})"
         + f"\nfidelity mismatches vs bare: "
@@ -287,6 +318,9 @@ def test_obs_overhead(benchmark, reporter, write_results_json):
             "requests": REQUESTS,
             "sample_every": SAMPLE_EVERY,
             "rounds_per_side": ROUNDS,
+            "min_round_cpu_s": MIN_ROUND_CPU_S,
+            "timed_replays": replays,
+            "cpu_requests_per_s": rates,
             "bare": bare,
             "instrumented": instrumented,
             "overhead_fraction": overhead_fraction,

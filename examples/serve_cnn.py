@@ -4,22 +4,25 @@ Run with::
 
     python examples/serve_cnn.py
 
-The production path of the reproduction: a trained quantised CNN is bound to
-a :class:`repro.core.matmul.TiledMatmulEngine` on a 16-macro sharded chip,
-and an :class:`repro.serve.InferenceServer` coalesces many small client
-requests into activation batches.  Weights are programmed into the arrays
-once (the ``ProgrammedWeights`` cache charges programming on first touch
-only), every batch streams past the stationary tiles, and the server
-reports per-request latency plus chip utilization.  The same requests are
-served at several coalescing budgets to show why batching pays.
+The production path of the reproduction: a trained quantised CNN is
+registered on a :class:`repro.cluster.ClusterNode`, whose 16-macro sharded
+chip runs a :class:`repro.core.matmul.TiledMatmulEngine`, and the node's
+batch loop cuts a stream of small client requests into activation batches.
+Weights are programmed into the arrays once (the ``ProgrammedWeights`` cache
+charges programming on first touch only), every batch streams past the
+stationary tiles, and the dispatch reports its modeled chip time; the
+engine's ledger gives chip utilization.  The same requests are served at
+several coalescing budgets to show why batching pays.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from repro.cluster import ClusterNode
 from repro.dnn import make_pattern_image_dataset, train_pattern_cnn
-from repro.serve import InferenceServer
 
 NUM_MACROS = 16
 REQUEST_IMAGES = 3
@@ -34,7 +37,7 @@ def main() -> None:
     test_images = dataset.test_images
     test_labels = dataset.test_labels
     requests = [
-        test_images[start : start + REQUEST_IMAGES]
+        (test_images[start : start + REQUEST_IMAGES], None)
         for start in range(0, test_images.shape[0], REQUEST_IMAGES)
     ]
     print(f"workload: {len(requests)} requests x {REQUEST_IMAGES} images")
@@ -42,41 +45,37 @@ def main() -> None:
     print("\n=== Serving the same workload at three coalescing budgets ===")
     header = (
         f"{'max batch':>9} | {'batches':>7} | {'imgs/s':>8} | "
-        f"{'mean lat [ms]':>13} | {'util':>5} | {'hits/misses':>11}"
+        f"{'chip time [us]':>14} | {'util':>5} | {'hits/misses':>11}"
     )
     print(header)
     print("-" * len(header))
-    final_server = None
     for max_batch_size in (1, 8, 32):
-        server = InferenceServer(
-            cnn, num_macros=NUM_MACROS, max_batch_size=max_batch_size
-        )
-        for images in requests:
-            server.submit(images)
-        server.drain()
-        report = server.report()
+        node = ClusterNode("serve", num_macros=NUM_MACROS, max_batch_size=max_batch_size)
+        node.register_model("cnn", cnn)
+        engine = node.engine
+        mark = engine.ledger_mark()
+        start_s = time.perf_counter()
+        _, dispatch = node.execute_group("cnn", requests)
+        wall_s = time.perf_counter() - start_s
+        total_cycles, _, _ = engine.ledger_since(mark)
+        utilization = total_cycles / (NUM_MACROS * dispatch.critical_path_cycles)
         print(
-            f"{max_batch_size:>9} | {report.batches:>7} | "
-            f"{report.throughput_images_per_s:>8.0f} | "
-            f"{report.mean_latency_s * 1e3:>13.2f} | "
-            f"{report.mean_utilization:>5.2f} | "
-            f"{report.cache_hits:>5}/{report.cache_misses}"
+            f"{max_batch_size:>9} | {dispatch.batches:>7} | "
+            f"{test_images.shape[0] / wall_s:>8.0f} | "
+            f"{dispatch.compute_s * 1e6:>14.2f} | "
+            f"{utilization:>5.2f} | "
+            f"{engine.cache.hits:>5}/{engine.cache.misses}"
         )
-        final_server = server
 
     print("\n=== Checking the served answers ===")
-    predictions = np.concatenate(
-        [result.predictions for result in sorted(
-            final_server.results, key=lambda r: r.request_id
-        )]
-    )
+    predictions = dispatch.predictions
     reference = cnn.predict(test_images)
     accuracy = float(np.mean(predictions == test_labels))
     print(f"bit-exact vs integer reference : {bool(np.array_equal(predictions, reference))}")
     print(f"served accuracy                : {accuracy * 100:.1f} %")
 
-    stats = final_server.engine.statistics()
-    print("\n=== Weight-stationary accounting (last server) ===")
+    stats = engine.statistics()
+    print("\n=== Weight-stationary accounting (last node) ===")
     print(f"programmed tiles               : {stats['programmed_tiles']:.0f}")
     print(f"programming cycles (1st touch) : {stats['program_cycles']:.0f}")
     print(f"resident array rows            : {stats['cache_resident_rows']:.0f} "

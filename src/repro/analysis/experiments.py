@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -691,8 +691,6 @@ class ServingThroughputPoint:
     batches: int
     mean_batch_size: float
     throughput_images_per_s: float
-    mean_latency_s: float
-    max_latency_s: float
     modeled_chip_time_s: float
     mean_utilization: float
     cache_hits: int
@@ -712,51 +710,57 @@ def serving_throughput_study(
 ) -> Dict[int, ServingThroughputPoint]:
     """Batched CNN serving throughput vs coalescing batch size.
 
-    Trains the pattern CNN once, then serves the whole test split through
-    an :class:`repro.serve.InferenceServer` — one weight-stationary
-    :class:`~repro.core.matmul.TiledMatmulEngine` per point — as a stream of
-    ``request_images``-image requests.  Larger coalescing budgets amortise
-    the fixed per-dispatch cost over more images, which is the serving
-    analogue of the DAC-codeword "expansion factor" argument: throughput
-    comes from batching symbols past a programmed-once block.
+    Trains the pattern CNN once, then serves the whole test split on one
+    :class:`repro.cluster.ClusterNode` per point (0.9 V, 8-bit, a fresh
+    weight-stationary engine on ``num_macros`` shards) as a stream of
+    ``request_images``-image requests in one dispatch group, which the
+    node's batch loop cuts into ``max_batch_size`` batches.  Larger
+    coalescing budgets amortise the fixed per-dispatch cost over more
+    images, which is the serving analogue of the DAC-codeword "expansion
+    factor" argument: throughput comes from batching symbols past a
+    programmed-once block.
+
+    ``throughput_images_per_s`` is images over the host wall time of the
+    dispatch; ``mean_utilization`` is the group's work cycles over
+    ``num_macros`` times the summed per-batch critical paths.
 
     Returns ``{max_batch_size: ServingThroughputPoint}``.
     """
+    from repro.cluster import ClusterNode
     from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
-    from repro.serve import InferenceServer
 
     dataset = make_pattern_image_dataset(samples=samples, size=image_size, seed=seed)
     cnn, _ = train_pattern_cnn(dataset, epochs=epochs, weight_bits=weight_bits)
     test_images = dataset.test_images
-    test_labels = dataset.test_labels
+    images = test_images.shape[0]
+    parts = [
+        (test_images[start : start + request_images], None)
+        for start in range(0, images, request_images)
+    ]
 
     results: Dict[int, ServingThroughputPoint] = {}
     for max_batch_size in batch_sizes:
-        server = InferenceServer(
-            cnn, num_macros=num_macros, max_batch_size=max_batch_size
-        )
-        predictions: List[np.ndarray] = []
-        for start in range(0, test_images.shape[0], request_images):
-            server.submit(test_images[start : start + request_images])
-        for result in server.drain():
-            predictions.append(result.predictions)
-        report = server.report()
-        predicted = np.concatenate(predictions)
-        accuracy = float(np.mean(predicted == test_labels[: predicted.size]))
+        node = ClusterNode("serve", num_macros=num_macros, max_batch_size=max_batch_size)
+        node.register_model("cnn", cnn)
+        engine = node.engine
+        mark = engine.ledger_mark()
+        start_s = time.perf_counter()
+        _, dispatch = node.execute_group("cnn", parts)
+        wall_s = time.perf_counter() - start_s
+        total_cycles, _, _ = engine.ledger_since(mark)
+        utilization = total_cycles / (num_macros * dispatch.critical_path_cycles)
         results[max_batch_size] = ServingThroughputPoint(
             max_batch_size=max_batch_size,
-            requests=report.requests,
-            images=report.images,
-            batches=report.batches,
-            mean_batch_size=report.mean_batch_size,
-            throughput_images_per_s=report.throughput_images_per_s,
-            mean_latency_s=report.mean_latency_s,
-            max_latency_s=report.max_latency_s,
-            modeled_chip_time_s=report.modeled_chip_time_s,
-            mean_utilization=report.mean_utilization,
-            cache_hits=report.cache_hits,
-            cache_misses=report.cache_misses,
-            accuracy=accuracy,
+            requests=len(parts),
+            images=images,
+            batches=dispatch.batches,
+            mean_batch_size=images / dispatch.batches,
+            throughput_images_per_s=images / wall_s,
+            modeled_chip_time_s=dispatch.compute_s,
+            mean_utilization=utilization,
+            cache_hits=engine.cache.hits,
+            cache_misses=engine.cache.misses,
+            accuracy=float(np.mean(dispatch.predictions == dataset.test_labels)),
         )
     return results
 

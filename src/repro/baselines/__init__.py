@@ -11,14 +11,14 @@
 * :mod:`processor` — a processor-centric execution model (SRAM read, bus
   traversal, ALU, write-back) quantifying the data-movement cost the paper's
   introduction argues against.
-* :mod:`reference` — a pure-Python golden ALU used by the test-suite to check
-  every in-memory result bit-exactly.
+
+The golden ALU every in-memory result is checked against is a test-only
+oracle (``tests/oracle/alu.py``).
 """
 
 from repro.baselines.bitserial import BitSerialConfig, BitSerialIMC
 from repro.baselines.logicfa import LogicGateRippleAdder
 from repro.baselines.processor import ProcessorCentricBaseline, ProcessorCostParameters
-from repro.baselines.reference import ReferenceALU
 from repro.baselines.wlud import WLUDMacroModel
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "LogicGateRippleAdder",
     "ProcessorCentricBaseline",
     "ProcessorCostParameters",
-    "ReferenceALU",
     "WLUDMacroModel",
 ]

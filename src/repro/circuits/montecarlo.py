@@ -118,9 +118,9 @@ class MonteCarloEngine:
         The population is priced through the vectorised
         :meth:`~repro.circuits.bitline.BitlineComputeModel.compute_delays`
         path — element-for-element equal, to floating-point round-off, to
-        the per-sample scalar loop :meth:`sample_delays_reference` keeps as
-        the oracle, and two to three orders of magnitude faster for
-        Fig. 2-scale populations.
+        the per-sample scalar loop the test suite keeps as its oracle
+        (``tests/oracle/montecarlo.py``), and two to three orders of
+        magnitude faster for Fig. 2-scale populations.
         """
         if point is None:
             point = OperatingPoint(vdd=self.technology.vdd_nominal)
@@ -157,33 +157,6 @@ class MonteCarloEngine:
             boost_shifts + vth_offset_v,
             sa_offsets,
         )
-
-    def sample_delays_reference(
-        self,
-        scheme: WordlineScheme,
-        samples: int,
-        point: Optional[OperatingPoint] = None,
-    ) -> np.ndarray:
-        """The original per-sample scalar loop — the vectorised path's oracle.
-
-        Draws from the engine's RNG exactly like :meth:`sample_delays`
-        (same three normal populations in the same order), so two engines
-        seeded identically must agree through either path to round-off.
-        """
-        if point is None:
-            point = OperatingPoint(vdd=self.technology.vdd_nominal)
-        cell_shifts, boost_shifts, sa_offsets = self._sample_variations(samples)
-
-        delays = np.empty(samples, dtype=np.float64)
-        for index in range(samples):
-            delays[index] = self.model.compute_delay(
-                point,
-                scheme=scheme,
-                cell_vth_shift=float(cell_shifts[index]),
-                boost_vth_shift=float(boost_shifts[index]),
-                sa_offset_s=float(sa_offsets[index]),
-            )
-        return delays
 
     def delay_distribution(
         self,

@@ -327,6 +327,7 @@ class ClusterNode:
             raise ConfigurationError("node_id must be non-empty")
         if spot_check_every < 0:
             raise ConfigurationError("spot_check_every must be non-negative")
+        check_positive("max_batch_size", max_batch_size)
         base = config if config is not None else MacroConfig()
         if precision_bits is not None:
             # An explicit precision always wins, also over a passed config —

@@ -18,7 +18,7 @@ pipeline used by the tests and examples:
   batched serving, on the weight-stationary
   :class:`repro.core.matmul.TiledMatmulEngine`
   (:meth:`QuantizedCNN.with_chip` builds and binds one in one call, and
-  :class:`repro.serve.InferenceServer` coalesces request streams on top).
+  :class:`repro.cluster.ClusterNode` batches request streams on top).
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ against ``ObjectRouter``, which ranks placements with the frozen
 object-form ranking of ``oracle.scheduler`` (``choose`` over one
 ``ClusterRequest`` per admission), and ``tests/test_conv_oracle.py``
 compares the quantised conv forward against ``quantized_conv_forward``.
+The scalar oracles sit here too: ``oracle.alu.ReferenceALU``, the golden
+ALU every macro operation is checked against, and
+``oracle.montecarlo.sample_delays_reference``, the per-sample Monte-Carlo
+loop the vectorised delay sampler must match.
 """
 
 from oracle.conv import quantized_conv_forward

@@ -1,10 +1,11 @@
-"""Golden-model ALU.
+"""Golden-model ALU: the macro's scalar oracle.
 
 Every in-memory result produced by :class:`repro.core.macro.IMCMacro` (and by
 the bit-serial baseline) is checked against this plain-Python ALU in the test
-suite.  It implements exactly the modular semantics the macro is specified to
-have: unsigned operands, results reduced modulo ``2**precision`` except for
-multiplication, which returns the full double-width product.
+suite; no production path uses it.  It implements exactly the modular
+semantics the macro is specified to have: unsigned operands, results reduced
+modulo ``2**precision`` except for multiplication, which returns the full
+double-width product.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 import pytest
 
+from oracle.alu import ReferenceALU
 from repro.baselines.logicfa import LogicGateRippleAdder
-from repro.baselines.reference import ReferenceALU
 from repro.baselines.wlud import WLUDMacroModel
 from repro.core import Opcode
 from repro.errors import OperandError

@@ -218,6 +218,27 @@ class TestClusterNode:
         node.retune(0.9)
         assert node.chip is chip  # nothing rebuilt, cache intact
 
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    @pytest.mark.parametrize("max_batch_size", [0, -1])
+    def test_refuses_non_positive_max_batch_size(self, mode, max_batch_size):
+        # The batch loop would otherwise serve a request in zero batches
+        # (no charges, zero latency and energy) or crash mid-dispatch.
+        with pytest.raises(ConfigurationError, match="max_batch_size"):
+            ClusterNode("n", max_batch_size=max_batch_size, execution_mode=mode)
+
+    def test_group_batches_program_each_layer_once(self, trained):
+        dataset, model_a, _ = trained
+        node = _node("n", 0.9, max_batch_size=4)
+        node.register_model("m", model_a)
+        parts = [(dataset.test_images[start : start + 4], None) for start in range(0, 12, 4)]
+        _, dispatch = node.execute_group("m", parts)
+        assert dispatch.batches == 3
+        # conv + two head layers: programmed by the first batch, hit by the
+        # two later ones.
+        assert node.engine.cache.misses == 3
+        assert node.engine.cache.hits == 2 * 3
+        assert node.engine.cache.evictions == 0
+
     def test_explicit_precision_wins_over_passed_config(self):
         from repro.core import MacroConfig
 

@@ -3,7 +3,7 @@ geometries, WLUD-configured functional macros and mixed-precision banks."""
 
 import pytest
 
-from repro.baselines.reference import ReferenceALU
+from oracle.alu import ReferenceALU
 from repro.circuits.wordline import WordlineScheme
 from repro.core import IMCBank, IMCMacro, MacroConfig, Opcode
 from repro.core.layout import ColumnLayout

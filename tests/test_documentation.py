@@ -77,7 +77,6 @@ class TestReferencesResolve:
             "repro.baselines",
             "repro.dnn",
             "repro.analysis",
-            "repro.serve",
         ):
             assert package in design
 

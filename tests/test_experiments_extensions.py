@@ -1,8 +1,13 @@
-"""Tests for the extension experiment drivers (area, data movement)."""
+"""Tests for the extension experiment drivers (area, data movement, serving)."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.analysis import experiments as exp
+from repro.cluster import ClusterNode
+from repro.dnn import make_pattern_image_dataset, train_pattern_cnn
 
 
 class TestAreaOverheadStudy:
@@ -64,3 +69,58 @@ class TestDataMovementStudy:
         high = exp.data_movement_study(vdd=0.9)
         assert low["ADD"]["processor_energy_j"] < high["ADD"]["processor_energy_j"]
         assert low["ADD"]["imc_energy_j"] < high["ADD"]["imc_energy_j"]
+
+
+class TestServingThroughputStudy:
+    BATCH_SIZES = (1, 4)
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        """The study at a small config, plus every dispatch's predictions."""
+        predictions = []
+        execute_group = ClusterNode.execute_group
+
+        def recording(node, model_id, parts):
+            views, dispatch = execute_group(node, model_id, parts)
+            predictions.append(dispatch.predictions)
+            return views, dispatch
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClusterNode, "execute_group", recording)
+            study = exp.serving_throughput_study(
+                batch_sizes=self.BATCH_SIZES, samples=60, epochs=2
+            )
+        return study, predictions
+
+    def test_batch_loop_cuts_the_stream_into_budgets(self, served):
+        study, _ = served
+        for size in self.BATCH_SIZES:
+            point = study[size]
+            assert point.batches == math.ceil(point.images / size)
+            assert point.mean_batch_size == point.images / point.batches
+
+    def test_weights_are_programmed_once_per_point(self, served):
+        study, _ = served
+        for point in study.values():
+            assert point.cache_misses == 3
+            assert point.cache_hits == (point.batches - 1) * 3
+
+    def test_served_predictions_are_the_reference_forward(self, served):
+        study, predictions = served
+        dataset = make_pattern_image_dataset(samples=60, size=8, seed=13)
+        cnn, _ = train_pattern_cnn(dataset, epochs=2, weight_bits=8)
+        reference = cnn.predict(dataset.test_images)
+        assert all(point.images == reference.size for point in study.values())
+        assert len(predictions) == len(self.BATCH_SIZES)
+        for served_predictions in predictions:
+            assert np.array_equal(served_predictions, reference)
+        accuracy = float(np.mean(reference == dataset.test_labels))
+        assert all(point.accuracy == accuracy for point in study.values())
+
+    def test_modeled_chip_time_does_not_depend_on_the_budget(self, served):
+        study, _ = served
+        first, second = (study[size] for size in self.BATCH_SIZES)
+        assert second.modeled_chip_time_s == pytest.approx(
+            first.modeled_chip_time_s, rel=1e-12
+        )
+        assert 0 < first.mean_utilization <= 1.0

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.baselines.reference import ReferenceALU
+from oracle.alu import ReferenceALU
 from repro.core import IMCMacro, MacroConfig, Opcode
 from repro.errors import ConfigurationError, OperandError
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle.montecarlo import sample_delays_reference
 from repro.circuits.montecarlo import DelayDistribution, MonteCarloEngine
 from repro.circuits.wordline import WordlineScheme
 from repro.tech import OperatingPoint
@@ -103,9 +104,9 @@ class TestVectorizedSampling:
 
         calibration = default_macro_calibration()
         fast = MonteCarloEngine(CALIBRATED_28NM, calibration, seed=2020)
-        oracle = MonteCarloEngine(CALIBRATED_28NM, calibration, seed=2020)
+        scalar = MonteCarloEngine(CALIBRATED_28NM, calibration, seed=2020)
         vectorized = fast.sample_delays(scheme, 1500)
-        reference = oracle.sample_delays_reference(scheme, 1500)
+        reference = sample_delays_reference(scalar, scheme, 1500)
         # Identically seeded engines draw identical variation populations;
         # the delays agree to floating-point round-off (the vectorised
         # power function has last-ulp freedom).
@@ -118,12 +119,12 @@ class TestVectorizedSampling:
         calibration = default_macro_calibration()
         point = OperatingPoint(vdd=vdd)
         fast = MonteCarloEngine(CALIBRATED_28NM, calibration, seed=7)
-        oracle = MonteCarloEngine(CALIBRATED_28NM, calibration, seed=7)
+        scalar = MonteCarloEngine(CALIBRATED_28NM, calibration, seed=7)
         vectorized = fast.sample_delays(
             WordlineScheme.SHORT_PULSE_BOOST, 400, point=point
         )
-        reference = oracle.sample_delays_reference(
-            WordlineScheme.SHORT_PULSE_BOOST, 400, point=point
+        reference = sample_delays_reference(
+            scalar, WordlineScheme.SHORT_PULSE_BOOST, 400, point=point
         )
         assert np.allclose(vectorized, reference, rtol=1e-12, atol=0.0)
 
