@@ -6,8 +6,8 @@ unique input, so trace studies cost Python bookkeeping instead of numpy
 forwards.  This benchmark measures what that buys on an identical
 trace-replay loop (submit in arrival order, drain in bounded chunks):
 
-* **exact** — every request runs the full numpy forward through the
-  inference server (measured on a prefix of the trace; one exact request
+* **exact** — every request runs the full numpy forward in its node's
+  batch loop (measured on a prefix of the trace; one exact request
   costs milliseconds);
 * **analytic** — the full trace on the fast path;
 * **analytic + coalescing** — the same trace with cross-request batch

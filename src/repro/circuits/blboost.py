@@ -51,10 +51,6 @@ class BitlineBooster:
         """BL swing (volts) needed before the booster engages."""
         return self.calibration.bitline.boost_trigger_v
 
-    def is_enabled(self, scheme_uses_boost: bool) -> bool:
-        """The booster only participates in the proposed short-pulse scheme."""
-        return scheme_uses_boost
-
     def boost_current(
         self, point: OperatingPoint, vth_shift: float = 0.0
     ) -> float:

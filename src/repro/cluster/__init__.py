@@ -43,7 +43,7 @@ from repro.cluster.node import (
     RequestEstimate,
     model_weight_codes,
 )
-from repro.cluster.router import ClusterResult, ClusterRouter
+from repro.cluster.router import ClusterResult, ClusterRouter, RequestNotCompleteError
 from repro.cluster.scheduler import (
     NoActiveNodesError,
     PlacementDecision,
@@ -74,6 +74,7 @@ __all__ = [
     "PlacementDecision",
     "ReactiveAutoscaler",
     "RequestEstimate",
+    "RequestNotCompleteError",
     "RequestTrace",
     "SLAClass",
     "SLAScheduler",

@@ -48,25 +48,6 @@ class ScalingAction:
     reason: str
 
 
-def _reason_category(reason: str) -> str:
-    """Collapse a free-text action reason to a bounded label value.
-
-    The full reason strings carry run-specific numbers ("queue depth 7
-    over 2 active nodes"), which would explode metric label cardinality;
-    the category keeps the *why* scrapeable.
-    """
-    for prefix, category in (
-        ("failure pressure", "failure_pressure"),
-        ("deadline miss rate", "deadline_miss"),
-        ("queue depth", "queue_depth"),
-        ("idle for", "idle"),
-        ("fleet quiet", "fleet_quiet"),
-    ):
-        if reason.startswith(prefix):
-            return category
-    return "other"
-
-
 class ReactiveAutoscaler:
     """Queue-depth / deadline-miss driven fleet controller."""
 
@@ -105,41 +86,6 @@ class ReactiveAutoscaler:
         #: the telemetry keeps aggregates only and retains no trace rows.
         self._traces_seen = 0
         self._deadline_traces_seen = 0
-        #: Actions already folded into a bound metrics registry.
-        self._actions_folded = 0
-        self._actions_metric = None
-
-    # ------------------------------------------------------------------ #
-    # Observability
-    # ------------------------------------------------------------------ #
-    def bind_metrics(self, registry) -> None:
-        """Expose scaling decisions through a :class:`repro.obs` registry.
-
-        Registers ``autoscaler_actions_total{action, reason}`` plus a
-        ``autoscaler_steps_total`` counter, folded lazily at scrape time
-        from the action log — the control loop itself stays untouched.
-        """
-        self._actions_metric = registry.counter(
-            "autoscaler_actions_total",
-            "Scaling actuations taken, by action and reason category.",
-            labelnames=("action", "reason"),
-        )
-        self._steps_metric = registry.counter(
-            "autoscaler_steps_total",
-            "Autoscaler control iterations observed.",
-        )
-        registry.register_collector(lambda _registry: self._fold_actions())
-
-    def _fold_actions(self) -> None:
-        pending = self.actions[self._actions_folded :]
-        for action in pending:
-            self._actions_metric.labels(
-                action=action.action, reason=_reason_category(action.reason)
-            ).inc()
-        self._actions_folded = len(self.actions)
-        delta = self.step - self._steps_metric.value
-        if delta > 0:
-            self._steps_metric.inc(delta)
 
     # ------------------------------------------------------------------ #
     # Rung arithmetic

@@ -7,16 +7,18 @@ affordable.  Instrumentation therefore has three tiers:
 
 1. **Vectorised folds** — per-request facts (latency, energy, images,
    deadline misses, coalescing, replays) are folded into the registry in
-   bulk (:meth:`ClusterInstrumentation.fold_rows`), one numpy pass per
-   chunk instead of one Python call per request.  Retained rows are folded
-   at scrape time, never on the request path; aggregate-only telemetry
-   folds at its flush boundary, just before it drops the rows.
+   bulk (:meth:`ClusterInstrumentation.fold_columns`), one numpy pass per
+   chunk instead of one Python call per request.  The telemetry's flush
+   makes that pass over the rows recorded since its previous flush, in the
+   same pass that updates its own running aggregates: at a scrape, at an
+   aggregate read and, for aggregate-only telemetry, at its flush
+   boundary.  Never on the request path.
 2. **Collectors** — anything readable from live state (queue depth,
    virtual clock, fault log, node cache/residency counters) is pulled
    lazily at scrape time via :meth:`MetricsRegistry.register_collector`,
    costing literally zero in the dispatch path.
 3. **Direct hooks** — only genuinely rare events (park/wake transitions,
-   autoscaler actions, drains) increment counters inline.
+   drains) increment counters inline.
 
 Spans are not part of the fold: the router's settle step emits the
 modeled-time span trees of sampled requests (``request_id % sample_every
@@ -26,7 +28,7 @@ modeled-time span trees of sampled requests (``request_id % sample_every
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -108,7 +110,8 @@ class ClusterInstrumentation:
         )
         self.folds = m.counter(
             "cluster_telemetry_folds_total",
-            "Vectorised telemetry fold passes (admission batches folded).",
+            "Telemetry flushes that folded new rows (scrapes, aggregate reads, "
+            "aggregate-only flush boundaries).",
         )
         self.transitions = m.counter(
             "cluster_node_transitions_total",
@@ -191,25 +194,6 @@ class ClusterInstrumentation:
     # ------------------------------------------------------------------ #
     # Vectorised folds (tier 1)
     # ------------------------------------------------------------------ #
-    def fold_rows(self, rows: Sequence[tuple], energies: Sequence[float]) -> None:
-        """Fold settled telemetry rows (18-field tuples) into the registry."""
-        if not rows:
-            return
-        cols = list(zip(*rows))
-        arrival = np.asarray(cols[5], dtype=np.float64)
-        finish = np.asarray(cols[7], dtype=np.float64)
-        sla_arr = np.asarray(cols[3], dtype=object)
-        self.fold_columns(
-            cols,
-            energy=np.asarray(energies, dtype=np.float64),
-            images=np.asarray(cols[4], dtype=np.int64),
-            arrival=arrival,
-            finish=finish,
-            latency=finish - arrival,
-            missed=np.asarray(cols[10], dtype=bool),
-            sla_masks={sla: sla_arr == sla for sla in sorted(set(cols[3]))},
-        )
-
     def fold_columns(
         self,
         cols: List[tuple],
@@ -217,34 +201,29 @@ class ClusterInstrumentation:
         energy: np.ndarray,
         images: np.ndarray,
         arrival: np.ndarray,
-        finish: np.ndarray,
         latency: np.ndarray,
         missed: np.ndarray,
         sla_masks: Dict[str, np.ndarray],
-        coalesced_n: Optional[int] = None,
-        replayed_n: Optional[int] = None,
+        coalesced_n: int,
+        replayed_n: int,
     ) -> None:
-        """The fold itself, on pre-transposed columns and shared arrays.
+        """Fold one chunk of settled rows into the registry.
 
-        ``ColumnarTelemetry._flush`` calls this directly with the arrays
-        its own aggregate fold computes anyway — every argument here is
-        work the bare (uninstrumented) flush already does, so the fold's
-        marginal cost is just the grouped ``bincount`` sums below.  The
-        per-``(sla, node)`` series are resolved by integer group codes
-        and three weighted bincounts instead of a masked fancy-indexing
-        pass per pair.
+        ``cols`` holds the rows' transposed fields (the telemetry row
+        layout); the keyword arrays are the ones
+        ``ColumnarTelemetry._flush`` derives for its own aggregate fold
+        anyway, so the fold's marginal cost is just the grouped
+        ``bincount`` sums below.  The per-``(sla, node)`` series are
+        resolved by integer group codes and three weighted bincounts
+        instead of a masked fancy-indexing pass per pair.
         """
         n = len(cols[0])
         node_col = cols[2]
 
         start = np.asarray(cols[6], dtype=np.float64)
         self.queue_delay.record_many(start - arrival)
-        if coalesced_n is None:
-            coalesced_n = n - cols[15].count(1) - cols[15].count(0)
         if coalesced_n:
             self.coalesced.inc(coalesced_n)
-        if replayed_n is None:
-            replayed_n = n - cols[17].count(False)
         if replayed_n:
             self.replayed.inc(replayed_n)
         self.folds.inc()

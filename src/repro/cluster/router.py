@@ -80,7 +80,7 @@ from repro.utils.validation import check_finite, check_positive
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import MetricsRegistry, Tracer
 
-__all__ = ["ClusterResult", "ClusterRouter"]
+__all__ = ["ClusterResult", "ClusterRouter", "RequestNotCompleteError"]
 
 #: ``sla_indices`` decoding of workload traces, as telemetry values.
 _SLA_VALUES = tuple(sla.value for sla in SLA_ORDER)
@@ -94,6 +94,15 @@ _E_DIGEST, _E_COUNT, _E_SPAN, _E_FEASIBLE = 6, 7, 8, 9
 #: Input digests whose images passed the finiteness check, kept so a
 #: recurring tensor is scanned once; the set is cleared when it fills.
 _FINITE_DIGESTS = 4096
+
+
+class RequestNotCompleteError(ConfigurationError):
+    """:meth:`ClusterRouter.result` was asked for a request still queued.
+
+    A distinct type so a caller can tell a request that has not run yet
+    (after a stalled drain: no node can run it) from the request's own
+    dispatch failure, which ``result()`` re-raises as it was raised.
+    """
 
 
 @dataclass(frozen=True)
@@ -470,7 +479,8 @@ class ClusterRouter:
         Args:
             model_id: A model previously passed to ``register_model``.
             images: ``(batch, channels, height, width)`` float64 tensor
-                of finite values.
+                of finite values, none larger in magnitude than
+                :data:`repro.utils.validation.MAX_INPUT_MAGNITUDE`.
             sla: The request's service class, an :class:`SLAClass` member
                 (latency / throughput / best effort); anything else is
                 refused before admission.
@@ -489,9 +499,10 @@ class ClusterRouter:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[0] == 0:
             raise ConfigurationError("expected a non-empty (batch, channels, height, width) array")
-        # A non-finite pixel has no integer code: its image's activation
-        # scale would not be finite and the forward would fail, taking every
-        # request of its dispatch group down with it.  So it is refused here.
+        # A non-finite pixel has no integer code, and a huge finite one
+        # overflows its image's activation scale: either way the forward
+        # would fail, taking every request of its dispatch group down with
+        # it.  So both are refused here (see check_finite's bound).
         # A digest names identical images (the forward memo's contract), so a
         # known-finite one is not re-scanned: analytic requests otherwise
         # never read their pixels.
@@ -979,7 +990,8 @@ class ClusterRouter:
         """The completed result of a request.
 
         Re-raises the original execution failure if the request's dispatch
-        failed, and raises :class:`ConfigurationError` while it is queued.
+        failed, and raises :class:`RequestNotCompleteError` while it is
+        queued.
         """
         if request_id in self._failed:
             raise self._failed[request_id]
@@ -990,7 +1002,7 @@ class ClusterRouter:
         if result is not None:
             return result
         if request_id not in self._answers:
-            raise ConfigurationError(f"request {request_id} is not complete; call drain()")
+            raise RequestNotCompleteError(f"request {request_id} is not complete; call drain()")
         self._settle()  # a drain that raised part-way left its rows unsettled
         return self._answer(request_id)
 

@@ -11,11 +11,12 @@ shared measurement substrate:
   modeled busy time, an EWMA of per-image latency) the scheduler reads when
   ranking candidates and the autoscaler reads when hunting idle nodes;
 * :class:`ColumnarTelemetry` — the fleet-wide trace log, stored as one
-  tuple per request, plus the two *windowed* signals the control loops key
-  on: the recent deadline-miss rate of the latency class and the recent
-  per-model dispatch counts (a model whose recent count crosses the
-  scheduler's threshold is "hot" and becomes eligible for replication onto
-  additional nodes).
+  tuple per request; the running folds (fleet-wide and per SLA class) every
+  whole-history aggregate is read from; and the two *windowed* signals the
+  control loops key on: the recent deadline-miss rate of the latency class
+  and the recent per-model dispatch counts (a model whose recent count
+  crosses the scheduler's threshold is "hot" and becomes eligible for
+  replication onto additional nodes).
 
 Everything here is measured in the cluster's *modeled* (virtual) time — the
 chip delay/energy models drive the clock, so every signal is deterministic
@@ -159,6 +160,43 @@ class NodeTelemetry:
         }
 
 
+class _Fold:
+    """Running aggregates of every row, or of one SLA class's rows.
+
+    ``energy`` and ``latency`` are :func:`_fold` continuations, so folding
+    rows in increments adds the same values in the same order as one fold
+    over all of them.
+    """
+
+    __slots__ = ("count", "images", "energy", "latency", "eligible", "missed")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.images = 0
+        self.energy = 0.0
+        self.latency = 0.0
+        #: Deadline-carrying rows, and how many of them missed.
+        self.eligible = 0
+        self.missed = 0
+
+    def add(self, images, energy, latency, has_deadline, missed) -> None:
+        """Fold one chunk of row columns (numpy arrays of equal length)."""
+        self.count += len(images)
+        self.images += int(images.sum())
+        self.energy = _fold(self.energy, [energy])
+        self.latency = _fold(self.latency, [latency])
+        self.eligible += int(np.count_nonzero(has_deadline))
+        self.missed += int(np.count_nonzero(has_deadline & missed))
+
+    @property
+    def miss_rate(self) -> float:
+        return self.missed / self.eligible if self.eligible else 0.0
+
+    @property
+    def mean_latency_s(self) -> float:
+        return self.latency / self.count if self.count else 0.0
+
+
 class ColumnarTelemetry:
     """Fleet-wide trace log plus the windowed signals the control loops use.
 
@@ -167,17 +205,15 @@ class ColumnarTelemetry:
     router's deferred charges fill it in at flush time.  ``window`` bounds
     the reactive signals (recent miss rate, model heat, recent SLA
     presence) to the most recent rows; they are maintained online and
-    never need a flush.  Whole-history aggregates flush first (the
+    never need a flush.  Whole-history aggregates are running folds, one
+    for all rows and one per SLA class: every aggregate read flushes (the
     router's settle hook resolves deferred energies and emits sampled
-    spans) and then fold the columns left to right, the order a
-    per-request ``sum()`` would.  With ``retain_traces=False`` flushed rows
-    are folded into running aggregates and dropped (flat memory); only
-    ``summary()``, ``deadline_miss_rate``, ``request_count``,
-    ``total_energy_j`` and the recent signals stay available in that mode.
+    spans, then the rows recorded since the previous flush are folded, in
+    the same pass, into those folds and the attached registry) and reads
+    the folds.  Rows are kept only for :attr:`traces`, :meth:`trace_at` and
+    :meth:`latency_quantiles_s`; with ``retain_traces=False`` flushed rows
+    are dropped (flat memory), and every aggregate stays available.
     """
-
-    #: RequestTrace field order, minus energy_j (deferred; parallel column).
-    _ROW_FIELDS = 18
 
     #: Rows buffered in aggregate mode before they are folded into the
     #: running aggregates and dropped (the flat-memory flush cadence).
@@ -201,30 +237,23 @@ class ColumnarTelemetry:
         #: The owning router's settle step, run before every flush.
         self._flush_hook: Optional[Callable[[], None]] = None
         #: Optional :class:`repro.cluster.instrumentation.ClusterInstrumentation`
-        #: folded into at scrape time (vectorised; never per-row).
+        #: folded into by every flush (vectorised; never per-row).
         self.instrumentation = None
-        #: Rows already folded into the instrumentation registry.
-        self._obs_folded = 0
+        #: Rows of ``_rows`` already folded (always 0 once rows are dropped).
+        self._folded = 0
         #: Rows already checked for span sampling (see :meth:`emit_spans`).
         self._spanned = 0
         #: request_id → root span id for sampled requests.
         self._span_by_request: Dict[int, int] = {}
-        self._columns_stamp = -1
-        self._columns: Dict[str, np.ndarray] = {}
-        # Aggregate-mode running folds (exact sequential continuations).
-        self._agg_count = 0
-        self._agg_images = 0
-        self._agg_energy = 0.0
-        self._agg_latency = 0.0
-        self._agg_affinity = 0
-        self._agg_programmed = 0
-        self._agg_analytic = 0
-        self._agg_coalesced = 0
-        self._agg_spot = 0
-        self._agg_replayed = 0
-        self._agg_sla_count: Dict[str, int] = {}
-        self._agg_eligible: Dict[Optional[str], int] = {}
-        self._agg_missed: Dict[Optional[str], int] = {}
+        self._all = _Fold()
+        self._by_sla: Dict[str, _Fold] = {}
+        # Summary-only counts over every folded row.
+        self._affinity = 0
+        self._programmed = 0
+        self._analytic = 0
+        self._coalesced = 0
+        self._spot = 0
+        self._replayed = 0
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -308,7 +337,7 @@ class ColumnarTelemetry:
             column[index] = energy
 
     # ------------------------------------------------------------------ #
-    # Settling: spans, flush, scrape-time metric fold
+    # Settling: spans, flush, fold
     # ------------------------------------------------------------------ #
     def emit_spans(self, tracer) -> None:
         """Emit the span tree of every sampled row recorded since the last call.
@@ -331,85 +360,69 @@ class ColumnarTelemetry:
             )
 
     def fold_metrics(self) -> None:
-        """Fold every row not yet folded into the attached instrumentation.
-
-        The scrape-time half of the observability fold: retained rows are
-        folded here, never on the request path.  Aggregate mode folds
-        inside the flush, just before it drops the rows.
-        """
+        """Bring the attached instrumentation up to date (the scrape hook)."""
         self._flush()
-        folded = self._obs_folded
-        if self.instrumentation is not None and len(self._rows) > folded:
-            self.instrumentation.fold_rows(self._rows[folded:], self._energy[folded:])
-            self._obs_folded = len(self._rows)
 
     def _flush(self) -> None:
-        """Settle deferred state (and fold+drop rows in aggregate mode)."""
+        """Settle deferred state, then fold the rows recorded since the last
+        flush into the running aggregates and the attached registry.
+
+        Folded rows are dropped unless traces are retained.
+        """
         if self._flush_hook is not None:
             self._flush_hook()
-        if self.retain_traces or not self._rows:
+        if self._folded == len(self._rows):
             return
-        rows = self._rows
-        cols = list(zip(*rows))
-        energy = np.asarray(self._energy, dtype=np.float64)
+        cols = list(zip(*self._rows[self._folded :]))
+        energy = np.asarray(self._energy[self._folded :], dtype=np.float64)
         images = np.asarray(cols[4], dtype=np.int64)
         arrival = np.asarray(cols[5], dtype=np.float64)
-        finish = np.asarray(cols[7], dtype=np.float64)
-        latency = finish - arrival
+        latency = np.asarray(cols[7], dtype=np.float64) - arrival
         missed = np.asarray(cols[10], dtype=bool)
+        has_deadline = np.asarray([d is not None for d in cols[9]], dtype=bool)
         sla_arr = np.asarray(cols[3], dtype=object)
         sla_masks = {sla: sla_arr == sla for sla in sorted(set(cols[3]))}
         coalesced_n = sum(1 for c in cols[15] if c > 1)
         replayed_n = int(np.count_nonzero(cols[17]))
         if self.instrumentation is not None:
-            # One vectorised observability fold per flush, sharing the
-            # transpose and column arrays the aggregate fold below needs
-            # anyway — the sharing is what keeps the instrumented replay
-            # inside the ≤5% overhead gate.
+            # The registry fold shares the transpose and the column arrays
+            # with the aggregate fold below; the sharing is what keeps the
+            # instrumented replay inside the <=5% overhead gate.
             self.instrumentation.fold_columns(
                 cols,
                 energy=energy,
                 images=images,
                 arrival=arrival,
-                finish=finish,
                 latency=latency,
                 missed=missed,
                 sla_masks=sla_masks,
                 coalesced_n=coalesced_n,
                 replayed_n=replayed_n,
             )
-        self._agg_count += len(rows)
-        self._agg_images += int(images.sum())
-        self._agg_energy = _fold(self._agg_energy, [energy])
-        self._agg_latency = _fold(self._agg_latency, [latency])
-        self._agg_affinity += int(np.count_nonzero(cols[11]))
-        self._agg_programmed += int(np.count_nonzero(cols[12]))
-        self._agg_analytic += sum(1 for m in cols[14] if m == "analytic")
-        self._agg_coalesced += coalesced_n
-        self._agg_spot += int(np.count_nonzero(cols[16]))
-        self._agg_replayed += replayed_n
-        has_deadline = np.asarray([d is not None for d in cols[9]], dtype=bool)
+        self._all.add(images, energy, latency, has_deadline, missed)
         for sla, mask in sla_masks.items():
-            self._agg_sla_count[sla] = self._agg_sla_count.get(sla, 0) + int(mask.sum())
-            eligible = mask & has_deadline
-            if eligible.any():
-                self._agg_eligible[sla] = self._agg_eligible.get(sla, 0) + int(
-                    eligible.sum()
-                )
-                self._agg_missed[sla] = self._agg_missed.get(sla, 0) + int(
-                    (eligible & missed).sum()
-                )
-        self._agg_eligible[None] = self._agg_eligible.get(None, 0) + int(
-            has_deadline.sum()
-        )
-        self._agg_missed[None] = self._agg_missed.get(None, 0) + int(
-            (has_deadline & missed).sum()
-        )
-        self._rows = []
-        self._energy = []
-        self._obs_folded = 0
-        self._spanned = 0
-        self._columns_stamp = -1
+            self._by_sla.setdefault(sla, _Fold()).add(
+                images[mask], energy[mask], latency[mask], has_deadline[mask], missed[mask]
+            )
+        self._affinity += int(np.count_nonzero(cols[11]))
+        self._programmed += int(np.count_nonzero(cols[12]))
+        self._analytic += sum(1 for m in cols[14] if m == "analytic")
+        self._coalesced += coalesced_n
+        self._spot += int(np.count_nonzero(cols[16]))
+        self._replayed += replayed_n
+        if self.retain_traces:
+            self._folded = len(self._rows)
+        else:
+            self._rows = []
+            self._energy = []
+            self._spanned = 0
+
+    def _totals(self, sla: Optional[str]) -> _Fold:
+        """Flush, then the running fold of one class (``None``: every row)."""
+        self._flush()
+        if sla is None:
+            return self._all
+        return self._by_sla.get(sla) or _Fold()
 
     def _need_rows(self, what: str) -> None:
         if not self.retain_traces:
@@ -417,26 +430,6 @@ class ColumnarTelemetry:
                 f"{what} needs retained traces; this telemetry was built "
                 "with retain_traces=False (aggregates only)"
             )
-
-    def _cols(self) -> Dict[str, np.ndarray]:
-        """Columnar views of the retained rows (cached per append stamp)."""
-        if self._columns_stamp != len(self._rows):
-            rows = self._rows
-            cols = list(zip(*rows)) if rows else [[] for _ in range(self._ROW_FIELDS)]
-            self._columns = {
-                "sla": np.asarray(cols[3], dtype=object),
-                "images": np.asarray(cols[4], dtype=np.int64),
-                "arrival": np.asarray(cols[5], dtype=np.float64),
-                "finish": np.asarray(cols[7], dtype=np.float64),
-                "has_deadline": np.asarray([d is not None for d in cols[9]], dtype=bool),
-                "missed": np.asarray(cols[10], dtype=bool),
-                "affinity": np.asarray(cols[11], dtype=bool),
-            }
-            self._columns_stamp = len(self._rows)
-        return self._columns
-
-    def _energy_col(self) -> np.ndarray:
-        return np.asarray(self._energy, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Reactive signals (online; no flush needed)
@@ -465,12 +458,12 @@ class ColumnarTelemetry:
         return any(t[1] == sla for t in self._recent)
 
     # ------------------------------------------------------------------ #
-    # Whole-history aggregates
+    # Retained rows
     # ------------------------------------------------------------------ #
     @property
     def trace_count(self) -> int:
         """Lifetime number of recorded traces (cheap; no flush)."""
-        return self._agg_count + len(self._rows)
+        return self._all.count + len(self._rows) - self._folded
 
     def trace_at(self, index: int) -> RequestTrace:
         """Build the :class:`RequestTrace` of one settled row."""
@@ -502,63 +495,6 @@ class ColumnarTelemetry:
             if (sla is None or t.sla == sla) and (model_id is None or t.model_id == model_id)
         ]
 
-    def request_count(self, sla: Optional[str] = None) -> int:
-        """Lifetime trace count, optionally restricted to one SLA class."""
-        if sla is None:
-            return self.trace_count
-        self._flush()
-        cols = self._cols()
-        folded = self._agg_sla_count.get(sla, 0)
-        if len(self._rows):
-            folded += int(np.count_nonzero(cols["sla"] == sla))
-        return folded
-
-    def deadline_miss_rate(self, sla: Optional[str] = None) -> float:
-        """Lifetime deadline-miss fraction of deadline-carrying requests."""
-        self._flush()
-        eligible = self._agg_eligible.get(sla, 0)
-        missed = self._agg_missed.get(sla, 0)
-        if self._rows:
-            cols = self._cols()
-            mask = cols["has_deadline"]
-            if sla is not None:
-                mask = mask & (cols["sla"] == sla)
-            eligible += int(np.count_nonzero(mask))
-            missed += int(np.count_nonzero(mask & cols["missed"]))
-        if not eligible:
-            return 0.0
-        return missed / eligible
-
-    def total_energy_j(self) -> float:
-        """Lifetime energy fold over the trace log (== sum of energies)."""
-        self._flush()
-        if not self._rows:
-            return self._agg_energy if self._agg_count else 0.0
-        return _fold(self._agg_energy, [self._energy_col()])
-
-    def energy_per_image_j(self, sla: Optional[str] = None) -> float:
-        """Modeled energy per image over (a class of) the full log."""
-        self._need_rows("energy_per_image_j")
-        self._flush()
-        cols = self._cols()
-        if sla is None:
-            images = int(cols["images"].sum()) if len(self._rows) else 0
-            energy = self._energy_col()
-        else:
-            mask = cols["sla"] == sla
-            images = int(cols["images"][mask].sum()) if len(self._rows) else 0
-            energy = self._energy_col()[mask]
-        if not images:
-            return 0.0
-        return _fold(0.0, [energy]) / images
-
-    def _latencies(self, sla: Optional[str]) -> np.ndarray:
-        cols = self._cols()
-        latency = cols["finish"] - cols["arrival"]
-        if sla is not None:
-            latency = latency[cols["sla"] == sla]
-        return latency
-
     def latency_quantiles_s(
         self,
         quantiles=(0.5, 0.9, 0.99, 0.999),
@@ -572,53 +508,50 @@ class ColumnarTelemetry:
         """
         self._need_rows("latency_quantiles_s")
         self._flush()
-        latencies = np.sort(self._latencies(sla))
-        if not len(latencies):
+        latencies = sorted(r[7] - r[5] for r in self._rows if sla is None or r[3] == sla)
+        if not latencies:
             return {q: 0.0 for q in quantiles}
         last = len(latencies) - 1
         return {q: float(latencies[min(last, int(q * len(latencies)))]) for q in quantiles}
 
+    # ------------------------------------------------------------------ #
+    # Whole-history aggregates (one flush, then a read of the folds)
+    # ------------------------------------------------------------------ #
+    def request_count(self, sla: Optional[str] = None) -> int:
+        """Lifetime trace count, optionally restricted to one SLA class."""
+        return self._totals(sla).count
+
+    def deadline_miss_rate(self, sla: Optional[str] = None) -> float:
+        """Lifetime deadline-miss fraction of deadline-carrying requests."""
+        return self._totals(sla).miss_rate
+
+    def total_energy_j(self) -> float:
+        """Lifetime energy fold over the trace log (== sum of energies)."""
+        return self._totals(None).energy
+
+    def energy_per_image_j(self, sla: Optional[str] = None) -> float:
+        """Modeled energy per image over (a class of) the full log."""
+        fold = self._totals(sla)
+        return fold.energy / fold.images if fold.images else 0.0
+
     def mean_latency_s(self, sla: Optional[str] = None) -> float:
         """Mean modeled request latency over (a class of) the full log."""
-        self._flush()
-        if sla is None and not self.retain_traces:
-            count = self.trace_count
-            return self._agg_latency / count if count else 0.0
-        self._need_rows("mean_latency_s(sla=...)")
-        latencies = self._latencies(sla)
-        if not len(latencies):
-            return 0.0
-        return _fold(0.0, [latencies]) / len(latencies)
+        return self._totals(sla).mean_latency_s
 
     def summary(self) -> Dict[str, float]:
         """Flat fleet-wide aggregates for reports."""
-        self._flush()
-        cols = self._cols()
-        n = len(self._rows)
-        count = self._agg_count + n
-        images = self._agg_images + (int(cols["images"].sum()) if n else 0)
-        energy = self.total_energy_j() if count else 0.0
-        affinity = self._agg_affinity + (int(np.count_nonzero(cols["affinity"])) if n else 0)
-        rows = self._rows
-        programmed = self._agg_programmed + sum(1 for r in rows if r[12])
-        analytic = self._agg_analytic + sum(1 for r in rows if r[14] == "analytic")
-        coalesced = self._agg_coalesced + sum(1 for r in rows if r[15] > 1)
-        spot = self._agg_spot + sum(1 for r in rows if r[16])
-        replayed = self._agg_replayed + sum(1 for r in rows if r[17])
-        if self.retain_traces:
-            mean_latency = _fold(0.0, [self._latencies(None)]) / count if count else 0.0
-        else:
-            mean_latency = self._agg_latency / count if count else 0.0
+        fold = self._totals(None)
+        count = fold.count
         return {
             "requests": float(count),
-            "images": float(images),
-            "energy_j": energy,
-            "mean_latency_s": mean_latency,
-            "deadline_miss_rate": self.deadline_miss_rate(),
-            "affinity_hit_rate": (affinity / count if count else 0.0),
-            "programmed_dispatches": float(programmed),
-            "analytic_requests": float(analytic),
-            "coalesced_requests": float(coalesced),
-            "spot_checked_requests": float(spot),
-            "replayed_requests": float(replayed),
+            "images": float(fold.images),
+            "energy_j": fold.energy,
+            "mean_latency_s": fold.mean_latency_s,
+            "deadline_miss_rate": fold.miss_rate,
+            "affinity_hit_rate": (self._affinity / count if count else 0.0),
+            "programmed_dispatches": float(self._programmed),
+            "analytic_requests": float(self._analytic),
+            "coalesced_requests": float(self._coalesced),
+            "spot_checked_requests": float(self._spot),
+            "replayed_requests": float(self._replayed),
         }

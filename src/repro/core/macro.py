@@ -253,9 +253,6 @@ class IMCMacro:
     def _write_active(self, ref: RowRef, bits: np.ndarray) -> None:
         self.array.write_bits(ref, self._active_columns, bits)
 
-    def _read_active(self, ref: RowRef) -> np.ndarray:
-        return self.array.read_bits(ref, self._active_columns)
-
     # ------------------------------------------------------------------ #
     # Single-cycle primitives
     # ------------------------------------------------------------------ #

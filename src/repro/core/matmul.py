@@ -310,13 +310,6 @@ class DispatchEstimate:
         """Work cycles including the programming charge (if any)."""
         return self.compute_cycles + self.program_cycles
 
-    @property
-    def energy_per_row_j(self) -> float:
-        """Modeled energy per activation row (the throughput-class metric)."""
-        if self.batch == 0:
-            return 0.0
-        return self.energy_j / self.batch
-
 
 @dataclass
 class _EngineCounters:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.dnn.quantization import QuantizedTensor, quantize_tensor
-from repro.utils.fixedpoint import FixedPointFormat, quantize_rows
+from repro.utils.fixedpoint import quantize_rows
 
 __all__ = ["DenseLayer", "QuantizedDenseLayer"]
 
@@ -142,10 +142,3 @@ class QuantizedDenseLayer:
     def mac_count(self, batch: int) -> int:
         """Multiply-accumulate operations needed for a batch."""
         return batch * self.float_layer.input_size * self.float_layer.output_size
-
-
-def _ensure_format(fmt: FixedPointFormat) -> FixedPointFormat:
-    """Internal helper kept for interface symmetry (validates a format)."""
-    if fmt.width < 2:
-        raise ConfigurationError("fixed-point width must be at least 2 bits")
-    return fmt

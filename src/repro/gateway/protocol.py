@@ -36,6 +36,8 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.validation import MAX_INPUT_MAGNITUDE, within_input_range
+
 __all__ = [
     "FrameType",
     "ProtocolError",
@@ -381,11 +383,11 @@ def decode_images(payload: dict) -> np.ndarray:
             f"images data holds {len(raw)} bytes, shape {shape} needs {expected}"
         )
     images = np.frombuffer(raw, dtype=WIRE_DTYPE).reshape(shape)
-    # A NaN or infinity has no integer code: its image's activation scale
-    # would not be finite, and the failed forward would take down every
-    # request coalesced into the same dispatch.
-    if not np.isfinite(images).all():
-        raise ProtocolError("images must be finite (no NaN or infinity)")
+    # A NaN or infinity has no integer code, and a huge finite value
+    # overflows its image's activation scale: the failed forward would take
+    # down every request coalesced into the same dispatch.
+    if not within_input_range(images):
+        raise ProtocolError(f"images must be finite with magnitude at most {MAX_INPUT_MAGNITUDE:g}")
     return images.copy()
 
 

@@ -66,7 +66,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster import ClusterRouter, SLAClass
+from repro.cluster import ClusterRouter, RequestNotCompleteError, SLAClass
 from repro.errors import ConfigurationError
 from repro.gateway.journal import AdmissionJournal
 from repro.gateway.protocol import (
@@ -845,9 +845,12 @@ class GatewayServer:
         """
         try:
             result = self.router.result(entry.router_id)
-        except ConfigurationError as error:
-            # Still queued after a stalled drain: no node can run it.
-            code = "execution_failed" if stranded else "internal"
+        except Exception as error:  # noqa: BLE001 - the dispatch failure, per contract
+            # Anything but "still queued" is the request's own dispatch
+            # failure.  Still queued after a stalled drain means no node can
+            # run it; after a drain that did not stall it is our fault.
+            queued = isinstance(error, RequestNotCompleteError)
+            code = "internal" if queued and not stranded else "execution_failed"
             self.stats["errors_sent"] += 1
             self._journal_done(entry.parsed, "error")
             return self._write_nodrain(
@@ -855,20 +858,6 @@ class GatewayServer:
                 encode_frame(
                     FrameType.ERROR,
                     {"id": entry.wire_id, "code": code, "message": str(error)},
-                ),
-            )
-        except Exception as error:  # noqa: BLE001 - the dispatch failure, per contract
-            self.stats["errors_sent"] += 1
-            self._journal_done(entry.parsed, "error")
-            return self._write_nodrain(
-                entry.connection,
-                encode_frame(
-                    FrameType.ERROR,
-                    {
-                        "id": entry.wire_id,
-                        "code": "execution_failed",
-                        "message": str(error),
-                    },
                 ),
             )
         trace = result.trace

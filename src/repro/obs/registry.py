@@ -25,7 +25,7 @@ Naming conventions (normative; see ``docs/OBSERVABILITY.md``): metric
 names are ``<subsystem>_<quantity>[_<unit>][_total]`` in snake_case —
 ``_total`` for counters, an SI unit suffix (``_seconds``, ``_joules``,
 ``_bytes``) wherever a unit exists, and label names from the closed
-vocabulary ``sla`` / ``node`` / ``model`` / ``kind`` / ``action``.
+vocabulary that document lists (``sla``, ``node``, ``model``, ...).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -121,10 +121,6 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
-    def events_for(self, node_id: str) -> List[FaultEvent]:
-        """The plan restricted to one node."""
-        return [event for event in self.events if event.node_id == node_id]
-
     def downtime_s(self, node_ids: Sequence[str], span_s: float) -> Dict[str, float]:
         """Scripted per-node downtime over ``[0, span_s]``.
 

@@ -19,9 +19,17 @@ __all__ = [
     "check_in_range",
     "check_power_of_two",
     "check_probability",
+    "MAX_INPUT_MAGNITUDE",
+    "within_input_range",
     "check_finite",
     "check_ledger_conservation",
 ]
+
+#: Largest magnitude an admitted input value may have.  Far above any real
+#: pixel, yet far enough below the float64 range (about 1.8e308) that an
+#: image's activation scale and the forward's arithmetic stay finite:
+#: both repository CNNs overflow once their test images are scaled by 1e306.
+MAX_INPUT_MAGNITUDE = 1e100
 
 
 def check_positive(name: str, value: Real) -> None:
@@ -54,10 +62,21 @@ def check_probability(name: str, value: Real) -> None:
         raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value}")
 
 
+def within_input_range(array: np.ndarray) -> bool:
+    """Whether every value is finite with ``|x| <= MAX_INPUT_MAGNITUDE``.
+
+    One scan: NaN fails the comparison, so it is refused with the
+    infinities and the huge finite values.
+    """
+    return bool(np.abs(array).max(initial=0.0) <= MAX_INPUT_MAGNITUDE)
+
+
 def check_finite(name: str, array: np.ndarray) -> None:
-    """Raise unless every element of ``array`` is finite (no NaN or infinity)."""
-    if not np.isfinite(array).all():
-        raise ConfigurationError(f"{name} must be finite (no NaN or infinity)")
+    """Raise unless :func:`within_input_range` accepts ``array``."""
+    if not within_input_range(array):
+        raise ConfigurationError(
+            f"{name} must be finite with magnitude at most {MAX_INPUT_MAGNITUDE:g}"
+        )
 
 
 def check_ledger_conservation(cluster, parts, rel: float = 1e-12) -> None:

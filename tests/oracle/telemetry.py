@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.telemetry import RequestTrace
 
 __all__ = ["ClusterTelemetry"]
@@ -74,7 +76,20 @@ class ClusterTelemetry:
             tuple(getattr(t, name) for name in fields if name not in ("energy_j", "span_id"))
             for t in traces
         ]
-        self.instrumentation.fold_rows(rows, [t.energy_j for t in traces])
+        cols = list(zip(*rows))
+        arrival = np.asarray(cols[5], dtype=np.float64)
+        sla_arr = np.asarray(cols[3], dtype=object)
+        self.instrumentation.fold_columns(
+            cols,
+            energy=np.asarray([t.energy_j for t in traces], dtype=np.float64),
+            images=np.asarray(cols[4], dtype=np.int64),
+            arrival=arrival,
+            latency=np.asarray(cols[7], dtype=np.float64) - arrival,
+            missed=np.asarray(cols[10], dtype=bool),
+            sla_masks={sla: sla_arr == sla for sla in sorted(set(cols[3]))},
+            coalesced_n=sum(t.coalesced > 1 for t in traces),
+            replayed_n=sum(t.replayed for t in traces),
+        )
         self._obs_folded = len(self.traces)
 
     # ------------------------------------------------------------------ #

@@ -486,6 +486,23 @@ class TestRouterAccounting:
             router.drain()
             assert np.array_equal(router.result(request).predictions, expected)
 
+    @pytest.mark.parametrize("mode", [ExecutionMode.EXACT, ExecutionMode.ANALYTIC])
+    def test_huge_finite_request_cannot_poison_its_coalesced_batchmates(self, trained, mode):
+        # A finite pixel of 1e307 overflows its image's activation scale:
+        # admitted, it failed the whole coalesced dispatch.
+        dataset, model_a, _ = trained
+        before, after = dataset.test_images[:4], dataset.test_images[4:6]
+        router = ClusterRouter([_node("n0", 0.9, execution_mode=mode)], coalesce=True)
+        router.register_model("a", model_a)
+        with router:
+            first = router.submit("a", before)
+            with pytest.raises(ConfigurationError, match="finite"):
+                router.submit("a", dataset.test_images[:1] * 1e307)
+            second = router.submit("a", after)
+            router.drain()
+            for request, images in ((first, before), (second, after)):
+                assert np.array_equal(router.result(request).predictions, model_a.predict(images))
+
     def test_a_known_finite_digest_is_scanned_once(self, trained, monkeypatch):
         dataset, model_a, _ = trained
         scanned = []

@@ -63,6 +63,26 @@ class TestReferencesResolve:
                             checked += 1
         assert checked
 
+    def test_dotted_repro_names_in_the_docs_resolve(self):
+        # Each backticked `repro.…` name: import its longest importable
+        # module prefix, then getattr the rest.
+        paths = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+        checked = 0
+        for path in paths:
+            for name in re.findall(r"`(repro(?:\.\w+)+)`", path.read_text(encoding="utf-8")):
+                parts = name.split(".")
+                for cut in range(len(parts), 0, -1):
+                    try:
+                        target = importlib.import_module(".".join(parts[:cut]))
+                    except ImportError:
+                        continue
+                    break
+                for attr in parts[cut:]:
+                    assert hasattr(target, attr), f"{path.relative_to(ROOT)}: {name}"
+                    target = getattr(target, attr)
+                checked += 1
+        assert checked > 50
+
     def test_experiments_md_covers_every_benchmark(self):
         experiments = _read("EXPERIMENTS.md")
         for path in (ROOT / "benchmarks").glob("bench_*.py"):

@@ -44,6 +44,7 @@ from repro.cluster import (
     diurnal_trace,
     poisson_trace,
 )
+from repro.cluster.instrumentation import ClusterInstrumentation
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
 from repro.obs import MetricsRegistry, Tracer
 from repro.reliability import ChipBinner, FaultEvent, FaultKind, FaultPlan
@@ -572,3 +573,167 @@ class TestAggregateOnlyTelemetry:
         for key, sample in want_series.items():
             for field, value in sample.items():
                 assert got_series[key][field] == pytest.approx(value, rel=1e-12), key
+
+
+_CLASS_NAMES = tuple(sla.value for sla in _SLAS)
+
+
+@st.composite
+def _settled_row(draw, request_id):
+    """One settled telemetry row (RequestTrace order, no energy/span) and
+    its energy."""
+    sla = draw(st.sampled_from(_CLASS_NAMES))
+    arrival = draw(st.floats(0.0, 1.0))
+    start = arrival + draw(st.floats(0.0, 1e-3))
+    finish = start + draw(st.floats(1e-7, 1e-3))
+    deadline = draw(st.none() | st.floats(1e-6, 2e-3))
+    row = (
+        request_id,
+        "cnn",
+        draw(st.sampled_from(("n0", "n1"))),  # node_id
+        sla,
+        draw(st.integers(1, 9)),  # images
+        arrival,
+        start,
+        finish,
+        finish - start,  # compute_s
+        deadline,
+        deadline is not None and draw(st.booleans()),  # deadline_missed
+        draw(st.booleans()),  # affinity_hit
+        draw(st.booleans()),  # programmed
+        True,  # feasible_at_admission
+        draw(st.sampled_from(("exact", "analytic"))),
+        draw(st.integers(1, 3)),  # coalesced
+        draw(st.booleans()),  # spot_checked
+        draw(st.booleans()),  # replayed
+    )
+    return row, draw(st.floats(1e-12, 1e-6))
+
+
+def _left_fold_reference(rows, energies, sla):
+    """Aggregates of (a class of) the rows with plain left-to-right ``+=``."""
+    count = images = eligible = missed = 0
+    energy = latency = 0.0
+    for row, row_energy in zip(rows, energies):
+        if sla is not None and row[3] != sla:
+            continue
+        count += 1
+        images += row[4]
+        energy += row_energy
+        latency += row[7] - row[5]
+        if row[9] is not None:
+            eligible += 1
+            missed += row[10]
+    return {
+        "requests": count,
+        "energy_j": energy,
+        "deadline_miss_rate": missed / eligible if eligible else 0.0,
+        "energy_per_image_j": energy / images if images else 0.0,
+        "mean_latency_s": latency / count if count else 0.0,
+        "images": images,
+    }
+
+
+class TestOneTelemetryFold:
+    @pytest.mark.parametrize("retain_traces", [True, False])
+    @given(data=st.data())
+    def test_every_read_equals_a_left_fold_of_all_rows(self, retain_traces, data, monkeypatch):
+        """Reads interleaved with row recording (single rows and chunks)
+        and fold-and-drop boundaries equal a ``+=`` fold over every row so
+        far, bit for bit, in both retention modes; the registry the same
+        flush feeds counts every row and image."""
+        monkeypatch.setattr(ColumnarTelemetry, "_AGG_FLUSH_ROWS", 4)
+        telemetry = ColumnarTelemetry(window=8, retain_traces=retain_traces)
+        registry = MetricsRegistry()
+        telemetry.instrumentation = ClusterInstrumentation(registry)
+        telemetry.instrumentation.node_ids = ("n0", "n1")
+        rows, energies = [], []
+
+        def check():
+            for sla in (None,) + _CLASS_NAMES:
+                want = _left_fold_reference(rows, energies, sla)
+                assert telemetry.request_count(sla) == want["requests"]
+                assert telemetry.deadline_miss_rate(sla) == want["deadline_miss_rate"]
+                assert telemetry.energy_per_image_j(sla) == want["energy_per_image_j"]
+                assert telemetry.mean_latency_s(sla) == want["mean_latency_s"]
+            want = _left_fold_reference(rows, energies, None)
+            assert telemetry.total_energy_j() == want["energy_j"]
+            count = len(rows)
+            assert telemetry.summary() == {
+                "requests": float(count),
+                "images": float(want["images"]),
+                "energy_j": want["energy_j"],
+                "mean_latency_s": want["mean_latency_s"],
+                "deadline_miss_rate": want["deadline_miss_rate"],
+                "affinity_hit_rate": sum(r[11] for r in rows) / count if count else 0.0,
+                "programmed_dispatches": float(sum(r[12] for r in rows)),
+                "analytic_requests": float(sum(r[14] == "analytic" for r in rows)),
+                "coalesced_requests": float(sum(r[15] > 1 for r in rows)),
+                "spot_checked_requests": float(sum(r[16] for r in rows)),
+                "replayed_requests": float(sum(r[17] for r in rows)),
+            }
+            metrics = registry.snapshot()["metrics"]
+            for name, want_total in (
+                ("cluster_requests_total", count),
+                ("cluster_images_total", want["images"]),
+            ):
+                assert sum(s["value"] for s in metrics[name]["samples"]) == want_total
+
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            step = data.draw(st.sampled_from(("row", "chunk", "read", "fold")))
+            if step == "row":
+                row, energy = data.draw(_settled_row(len(rows)))
+                telemetry.record_row(row, energy)
+                rows.append(row)
+                energies.append(energy)
+            elif step == "chunk":
+                drawn = [
+                    data.draw(_settled_row(len(rows) + offset))
+                    for offset in range(data.draw(st.integers(1, 10)))
+                ]
+                base = telemetry.record_rows_batch([row for row, _ in drawn])
+                telemetry.set_energy_batch(
+                    range(base, base + len(drawn)), [energy for _, energy in drawn]
+                )
+                rows.extend(row for row, _ in drawn)
+                energies.extend(energy for _, energy in drawn)
+            elif step == "read":
+                check()
+            else:
+                telemetry.maybe_fold()
+        check()
+
+    def test_aggregate_only_replay_reads_every_class_like_a_retaining_one(
+        self, trained, pool, monkeypatch
+    ):
+        """The same analytic turbo replay, rows retained or folded and
+        dropped every 64 rows: every per-class aggregate is equal."""
+        _, cnn = trained
+        monkeypatch.setattr(ColumnarTelemetry, "_AGG_FLUSH_ROWS", 64)
+        trace = _make_trace(
+            "diurnal", 400, 1e-3, {"latency": 0.3, "throughput": 0.4, "best_effort": 0.3}, 5
+        )
+
+        def run(telemetry):
+            nodes = _gateway_fleet(ExecutionMode.ANALYTIC)
+            router = ClusterRouter(nodes, telemetry=telemetry, retain_results=False)
+            router.register_model("cnn", cnn)
+            router.replay_trace(trace, pool, drain_every=32)
+            observed = {
+                "summary": telemetry.summary(),
+                "classes": [
+                    (
+                        telemetry.request_count(sla.value),
+                        telemetry.deadline_miss_rate(sla.value),
+                        telemetry.energy_per_image_j(sla.value),
+                        telemetry.mean_latency_s(sla.value),
+                    )
+                    for sla in _SLAS
+                ],
+            }
+            router.shutdown()
+            return observed
+
+        retained = run(ColumnarTelemetry())
+        assert all(count for count, *_ in retained["classes"])
+        assert run(ColumnarTelemetry(retain_traces=False)) == retained

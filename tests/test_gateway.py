@@ -30,6 +30,7 @@ import pytest
 
 from repro.cluster import ClusterNode, ClusterRouter, ExecutionMode, ForwardMemo
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
+from repro.errors import ConfigurationError
 from repro.gateway import (
     AsyncGatewayClient,
     FrameDecoder,
@@ -533,15 +534,17 @@ class TestServing:
     @pytest.mark.parametrize(
         "images",
         [
-            {"shape": [2, 1, 2, 2], "dtype": "<f8", "nan_at": 5},
+            {"shape": [2, 1, 2, 2], "dtype": "<f8", "bad_at": (5, np.nan)},
+            {"shape": [2, 1, 2, 2], "dtype": "<f8", "bad_at": (5, 1e307)},
             {"shape": [2**32, 2**32, 1, 1], "dtype": "<f8", "data": ""},
         ],
-        ids=["nan_pixel", "wrapping_shape"],
+        ids=["nan_pixel", "huge_pixel", "wrapping_shape"],
     )
     def test_bad_images_are_bad_request_and_the_connection_stays_open(self, gateway, images):
-        if "nan_at" in images:
+        if "bad_at" in images:
             values = np.ones(images.pop("shape"))
-            values.reshape(-1)[images.pop("nan_at")] = np.nan
+            index, value = images.pop("bad_at")
+            values.reshape(-1)[index] = value
             images = encode_images(values)
         with socket.create_connection((gateway.server.host, gateway.server.port)) as sock:
             sock.sendall(
@@ -555,6 +558,22 @@ class TestServing:
         stats = gateway.server.snapshot()
         assert (stats["requests_received"], stats["errors_sent"]) == (1, 1)
         assert stats["requests_admitted"] == 0
+
+    def test_a_dispatch_configuration_error_is_execution_failed(
+        self, trained, gateway, monkeypatch
+    ):
+        # result() re-raises the dispatch's own exception; that it is a
+        # ConfigurationError does not make it a server fault.
+        dataset, _ = trained
+
+        def refuse(self, *args):
+            raise ConfigurationError("the compute module refused the group")
+
+        monkeypatch.setattr(ClusterNode, "_compute_group", refuse)
+        with GatewayClient(gateway.server.host, gateway.server.port, retries=0) as client:
+            with pytest.raises(GatewayRequestError) as raised:
+                client.predict("cnn", dataset.test_images[:1])
+        assert raised.value.code == "execution_failed"
 
     def test_malformed_frame_gets_error_then_close(self, gateway):
         with socket.create_connection((gateway.server.host, gateway.server.port)) as sock:

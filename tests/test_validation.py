@@ -1,14 +1,17 @@
 """Unit tests for repro.utils.validation and the error hierarchy."""
 
+import numpy as np
 import pytest
 
 from repro import errors
 from repro.utils.validation import (
+    MAX_INPUT_MAGNITUDE,
     check_in_range,
     check_non_negative,
     check_positive,
     check_power_of_two,
     check_probability,
+    within_input_range,
 )
 
 
@@ -69,6 +72,21 @@ class TestCheckProbability:
             check_probability("p", -0.01)
         with pytest.raises(errors.ConfigurationError):
             check_probability("p", 1.01)
+
+
+class TestWithinInputRange:
+    def test_accepts_the_bound_itself(self):
+        assert MAX_INPUT_MAGNITUDE == 1e100
+        assert within_input_range(np.array([[0.0, MAX_INPUT_MAGNITUDE, -MAX_INPUT_MAGNITUDE]]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nextafter(1e100, np.inf), -np.nextafter(1e100, np.inf), np.nan, np.inf, -np.inf],
+    )
+    def test_refuses_past_the_bound_and_non_finite(self, bad):
+        values = np.ones((2, 1, 3, 3))
+        values[1, 0, 2, 1] = bad
+        assert not within_input_range(values)
 
 
 class TestErrorHierarchy:
