@@ -24,8 +24,6 @@ import os
 import socket
 import time
 
-import numpy as np
-
 from repro.analysis.report import format_table
 from repro.cluster import ClusterNode, ClusterRouter, ExecutionMode, ForwardMemo
 from repro.dnn import make_pattern_image_dataset, train_pattern_cnn

@@ -71,8 +71,8 @@ SPEEDUP_GATE = 20.0
 class _CountingCNN(QuantizedCNN):
     """The workload's CNN, counting the numeric forwards run on it.
 
-    Analytic nodes forward the registered model itself (memo misses and
-    spot checks); exact nodes serve an engine-bound copy, not counted.
+    Analytic nodes forward it on memo misses and spot checks, exact nodes
+    once per batch (the golden forward); only the analytic count is gated.
     """
 
     forwards = 0

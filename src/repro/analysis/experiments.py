@@ -720,8 +720,11 @@ def serving_throughput_study(
     factor" argument: throughput comes from batching symbols past a
     programmed-once block.
 
-    ``throughput_images_per_s`` is images over the host wall time of the
-    dispatch; ``mean_utilization`` is the group's work cycles over
+    Every modeled field (chip time, utilization, cache counts, accuracy)
+    comes from the first, cold dispatch.  The node then serves the same
+    group 4 more times, warm, and ``throughput_images_per_s`` is images
+    over the fastest of the 5 host wall times, since one short timing
+    is noisy.  ``mean_utilization`` is the group's work cycles over
     ``num_macros`` times the summed per-batch critical paths.
 
     Returns ``{max_batch_size: ServingThroughputPoint}``.
@@ -749,6 +752,11 @@ def serving_throughput_study(
         wall_s = time.perf_counter() - start_s
         total_cycles, _, _ = engine.ledger_since(mark)
         utilization = total_cycles / (num_macros * dispatch.critical_path_cycles)
+        cache_hits, cache_misses = engine.cache.hits, engine.cache.misses
+        for _ in range(4):
+            start_s = time.perf_counter()
+            node.execute_group("cnn", parts)
+            wall_s = min(wall_s, time.perf_counter() - start_s)
         results[max_batch_size] = ServingThroughputPoint(
             max_batch_size=max_batch_size,
             requests=len(parts),
@@ -758,8 +766,8 @@ def serving_throughput_study(
             throughput_images_per_s=images / wall_s,
             modeled_chip_time_s=dispatch.compute_s,
             mean_utilization=utilization,
-            cache_hits=engine.cache.hits,
-            cache_misses=engine.cache.misses,
+            cache_hits=cache_hits,
+            cache_misses=cache_misses,
             accuracy=float(np.mean(dispatch.predictions == dataset.test_labels)),
         )
     return results

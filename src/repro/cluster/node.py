@@ -7,11 +7,10 @@ resource:
 
 * it owns an :class:`repro.core.chip.IMCChip` built at the node's
   :class:`~repro.tech.technology.OperatingPoint` (frequency from the delay
-  model, joules from the energy model — both already scale with VDD), a
-  :class:`repro.core.matmul.TiledMatmulEngine` on that chip, and one
-  engine-bound copy of every registered model, all sharing the engine (and
-  therefore the weight cache — multi-model residency contention is real on
-  a node);
+  model, joules from the energy model — both already scale with VDD) and a
+  :class:`repro.core.matmul.TiledMatmulEngine` on that chip, which every
+  registered model shares (and therefore the weight cache — multi-model
+  residency contention is real on a node);
 * :meth:`estimate_request` prices a request *before* running it — modeled
   latency and energy per layer via the engine's planning path, including the
   re-programming charge when the model's weights are not resident — which is
@@ -19,8 +18,10 @@ resource:
 * :meth:`execute_group` is the node's one dispatch body: it slices a group
   of requests into consecutive ``max_batch_size`` batches and reads each
   batch's *measured* modeled compute time and energy off the engine's
-  ledger marks, whichever compute module (real forward, exact charge, or a
-  subclass's) landed the charges; :meth:`execute` is a group of one;
+  ledger marks, whichever compute module landed the charges (exact charges
+  plus the golden forward, the memo or a subclass's placeholders; the
+  engine-bound forward on read-disturb chips); :meth:`execute` is a group
+  of one;
 * the lifecycle (:meth:`park` / :meth:`wake` / :meth:`retune`) is plain
   state: a forward is synchronous, so there is nothing to stop.  Retuning
   to a new supply rebuilds the chip (a real rail change invalidates the
@@ -78,23 +79,28 @@ class NodeState(enum.Enum):
 class ExecutionMode(enum.Enum):
     """How a node turns an admitted request into results and charges.
 
-    ``EXACT`` runs each batch of the node's batch loop through the model
-    bound to the weight-stationary engine — every integer product is
-    actually computed.  ``ANALYTIC`` lands the very same charges through the
-    engine's exact-charge API
-    (:meth:`repro.core.matmul.TiledMatmulEngine.charge_layers`) in the same
-    loop and memoises the numeric forward per request, keyed by
-    ``(model_id, input_digest)``, so the numpy model runs once per *unique*
-    input instead of once per request.  Activation scales are per image, so
-    a request's predictions do not depend on the batch it shares: one entry
-    serves it coalesced or alone.  Both modes fold modeled time with one
-    formula, so degraded nodes agree too.
+    Both modes land every batch's charges through the engine's exact-charge
+    API (:meth:`repro.core.matmul.TiledMatmulEngine.charge_layers`) in the
+    node's one batch loop, and differ only in where predictions come from.
+    ``EXACT`` runs each batch's slice through the model's golden int64
+    forward — every integer product is actually computed, and the charges
+    are the ones the tile-streaming ``matmul`` lands, statement for
+    statement.  ``ANALYTIC`` memoises the numeric forward per request,
+    keyed by ``(model_id, input_digest)``, so the numpy model runs once per
+    *unique* input instead of once per request.  Activation scales are per
+    image, so a request's predictions do not depend on the batch it shares:
+    one slice or memo entry serves it coalesced or alone.  Both modes fold
+    modeled time with one formula, so degraded nodes agree too.  On a chip
+    that injects read disturb, stored bits can flip, so an ``EXACT`` node
+    there runs each batch through the model bound to the engine (the
+    per-lane reference path) instead.
 
     The fidelity contract: on any workload an ``ANALYTIC`` node produces
     bit-identical predictions, ledgers, dispatch accounting and (virtual-
-    time) telemetry to an ``EXACT`` node — the fast path is a accounting
-    short-circuit, never an approximation.  ``tests/test_execution_modes.py``
-    pins this down to equality.
+    time) telemetry to an ``EXACT`` node, and an ``EXACT`` node to one whose
+    batches run through the engine-bound model — the fast paths are
+    accounting short-circuits, never approximations.
+    ``tests/test_execution_modes.py`` pins both down to equality.
     """
 
     EXACT = "exact"
@@ -252,8 +258,8 @@ class NodeSpec:
     """A node's picklable construction recipe (the handle/state split).
 
     A :class:`ClusterNode` itself cannot cross a process boundary — it owns
-    an :class:`~repro.core.chip.IMCChip`, a live engine, engine-bound
-    models and mutable ledgers.  The spec is the *recipe* side of that
+    an :class:`~repro.core.chip.IMCChip`, a live engine, registered models
+    and mutable ledgers.  The spec is the *recipe* side of that
     split: everything needed to build an equivalent node from scratch, and
     nothing that is runtime state.  ``node.spec()`` captures it,
     :meth:`build` replays it — the idiom :mod:`repro.fleet` uses to shard
@@ -368,8 +374,6 @@ class ClusterNode:
         self.available_s = 0.0
         self._models: Dict[str, object] = {}
         self._layer_ids: Dict[str, Tuple[str, ...]] = {}
-        #: model_id -> the model bound to the live engine (rebuilt by retune).
-        self._bound: Dict[str, object] = {}
         #: model_id -> [batches, images] the exact batch loop has run.
         self.forward_counts: Dict[str, List[int]] = {}
         #: (model_id, image shape tail) -> per-layer (row factor, codes, id).
@@ -465,10 +469,6 @@ class ClusterNode:
         # operating point; the charge specs (weight codes / layer ids / row
         # factors) are engine-independent and stay valid.
         self._estimate_cache.clear()
-        self._bound = {
-            model_id: model.with_backend(self.engine)
-            for model_id, model in self._models.items()
-        }
 
     # ------------------------------------------------------------------ #
     # Models and residency
@@ -510,7 +510,6 @@ class ClusterNode:
         self._layer_ids[model_id] = tuple(
             TiledMatmulEngine.layer_id_for(matrix) for matrix in codes
         )
-        self._bound[model_id] = model.with_backend(self.engine)
         self.forward_counts[model_id] = [0, 0]
 
     @property
@@ -682,9 +681,10 @@ class ClusterNode:
         ``parts`` is a sequence of ``(images, input_digest)`` in queue
         order.  The group's images run in consecutive batches of at most
         ``max_batch_size`` (a request may straddle two batches), each
-        through :meth:`_compute_group`'s compute module: the engine-bound
-        model in EXACT mode, exact charges plus the forward memo in
-        ANALYTIC mode.
+        through :meth:`_compute_group`'s compute module: exact charges plus
+        the golden forward of the batch's slice in EXACT mode (the
+        engine-bound model on a read-disturb chip), exact charges plus the
+        forward memo in ANALYTIC mode.
 
         Returns the per-request prediction arrays (in ``parts`` order,
         consecutive views of one array) and one :class:`NodeDispatch`
@@ -746,19 +746,39 @@ class ClusterNode:
             answers, spot_checked = self._memo_predict(model_id, parts)
             grouped = answers[0] if len(answers) == 1 else np.concatenate(answers)
             return grouped, totals, tuple(spot_checked)
-        model = self._bound[model_id]
         images = parts[0][0] if len(parts) == 1 else np.concatenate([part for part, _ in parts])
         outputs: List[np.ndarray] = []
-        totals = self._run_batches(
-            total,
-            lambda start, size: outputs.append(
-                model.predict(images[start : start + size])
-            ),
-        )
+        disturb = self.config.inject_read_disturb
+        run = self._engine_bound_batches if disturb else self._golden_batches
+        totals = run(model_id, images, total, outputs.append)
         counts = self.forward_counts[model_id]
         counts[0] += totals[0]
         counts[1] += total
         return np.concatenate(outputs), totals, (False,) * len(parts)
+
+    def _golden_batches(
+        self, model_id: str, images: np.ndarray, total: int, emit: Callable
+    ) -> Tuple[int, float, float, int]:
+        """The exact batch loop: each slice's exact charges, then its golden forward."""
+        return self._charge_batches(
+            model_id,
+            images.shape,
+            total,
+            lambda start, size: emit(self._plain_forward(model_id, images[start : start + size])),
+        )
+
+    def _engine_bound_batches(
+        self, model_id: str, images: np.ndarray, total: int, emit: Callable
+    ) -> Tuple[int, float, float, int]:
+        """The batch loop with each slice forwarded by the engine-bound model.
+
+        Read-disturb chips keep it: there ``matmul`` runs the per-lane
+        reference, whose stored bits can flip, so results depend on the data.
+        """
+        model = self._models[model_id].with_backend(self.engine)
+        return self._run_batches(
+            total, lambda start, size: emit(model.predict(images[start : start + size]))
+        )
 
     def _run_batches(
         self, total: int, run: Callable[[int, int], object]
@@ -794,23 +814,29 @@ class ClusterNode:
         return batches, compute, energy, critical_total
 
     def _charge_batches(
-        self, model_id: str, image_shape: Tuple[int, ...], total: int
+        self,
+        model_id: str,
+        image_shape: Tuple[int, ...],
+        total: int,
+        forward: Optional[Callable[[int, int], object]] = None,
     ) -> Tuple[int, float, float, int]:
-        """The batch loop with exact charges instead of a forward.
+        """The batch loop with exact charges (then an optional forward).
 
         Each slice walks the model's layers in forward order through
         :meth:`~repro.core.matmul.TiledMatmulEngine.charge_layers`, so the
         macro ledgers receive the same charges in the same order as the
-        exact forward.
+        engine-bound forward; ``forward(start, size)``, when given, then
+        computes the slice's predictions.
         """
         specs = self._layer_charge_specs(model_id, image_shape)
         charge = self.engine.charge_layers
-        return self._run_batches(
-            total,
-            lambda start, size: charge(
-                [(factor * size, codes, layer_id) for factor, codes, layer_id in specs]
-            ),
-        )
+
+        def run(start: int, size: int) -> None:
+            charge([(factor * size, codes, layer_id) for factor, codes, layer_id in specs])
+            if forward is not None:
+                forward(start, size)
+
+        return self._run_batches(total, run)
 
     def _plain_forward(self, model_id: str, images: np.ndarray) -> np.ndarray:
         """The numeric forward of any images, with no charges.

@@ -28,9 +28,10 @@ that execution discipline:
   lands a dispatch's complete accounting (programming, per-tile MULT/ADD
   streams, cache and engine counters) through the very same code path as
   :meth:`TiledMatmulEngine.matmul` without computing the product — the
-  primitive behind the cluster layer's analytic execution mode, where
-  million-request scheduling studies run at wall-clock speed with ledgers
-  bit-identical to real execution.
+  primitive both cluster execution modes charge through (exact nodes add
+  the golden forward, analytic ones a forward memo), so million-request
+  scheduling studies run at wall-clock speed with ledgers bit-identical
+  to real execution.
 
 The engine is a drop-in integer matmul backend: calling it with
 ``(activation_codes, weight_codes)`` mirrors

@@ -15,10 +15,11 @@ The division of labour:
   Completions carry only prediction tensors, written in place into the
   placeholder arrays the shadows handed out.
 
-Message flow is batched (``flush_every`` dispatch groups per pipe send)
-with a bounded per-worker in-flight window (``max_inflight``) for
-backpressure; activation tensors travel via the digest-keyed shared-
-memory :class:`~repro.fleet.shm.TensorStore`.
+Message flow is work-conserving and batched: a worker with no sent group
+awaiting its completion gets a new group at once, a busy one up to
+``flush_every`` groups per pipe send, with a bounded per-worker in-flight
+window (``max_inflight``) for backpressure; activation tensors travel via
+the digest-keyed shared-memory :class:`~repro.fleet.shm.TensorStore`.
 
 **Crash handling.**  A dead pipe marks the worker's shadow nodes FAILED —
 the router's own backlog-replay machinery (PR 5) then re-places queued
@@ -101,7 +102,8 @@ class _WorkerHandle:
     pid: Optional[int] = None
     outbox: list = field(default_factory=list)
     inflight: Dict[int, _InflightGroup] = field(default_factory=dict)
-    sent_groups: int = 0
+    #: Every group with a lower ``seq`` has left the outbox.
+    flushed_seq: int = 0
 
 
 class FleetCluster:
@@ -123,8 +125,10 @@ class FleetCluster:
             ``"thread"`` — the same worker loop on an in-process thread,
             used by tests to drive the full message protocol under
             coverage and by crash drills that must not kill the host.
-        flush_every: Dispatch groups buffered per worker before a pipe
-            send (amortises pickling/wakeups).
+        flush_every: Dispatch groups a busy worker's outbox buffers
+            before a pipe send (amortises pickling/wakeups).  A worker
+            with no sent group awaiting its completion is idle and gets
+            each new group at once.
         max_inflight: Bound of unacknowledged groups per worker; at the
             bound the coordinator drains completions before shipping
             more (backpressure, and a pipe-deadlock guard).
@@ -347,9 +351,13 @@ class FleetCluster:
                 request_ids=request_ids,
             )
         )
-        handle.sent_groups += 1
         self._poll_all()
-        if len(handle.outbox) >= self.flush_every:
+        # Work-conserving: when the oldest in-flight group is still in the
+        # outbox, the worker has nothing to do, so it gets the groups now.
+        if (
+            len(handle.outbox) >= self.flush_every
+            or next(iter(handle.inflight), -1) >= handle.flushed_seq
+        ):
             self._flush(handle)
         waited = time.monotonic()
         while handle.alive and len(handle.inflight) >= self.max_inflight:
@@ -369,6 +377,7 @@ class FleetCluster:
         if not handle.outbox or not handle.alive:
             return
         batch, handle.outbox = handle.outbox, []
+        handle.flushed_seq = self._next_seq
         try:
             handle.conn.send(batch)
         except (OSError, ValueError, BrokenPipeError):

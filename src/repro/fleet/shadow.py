@@ -5,11 +5,11 @@ virtual-time admission/scheduling loop of :class:`~repro.cluster.router.
 ClusterRouter` over :class:`ShadowNode` replicas of the fleet.  A shadow
 runs the node's own dispatch body and swaps only its compute module: every
 batch is charged through the engine's exact-charge API
-(:meth:`~repro.cluster.node.ClusterNode._charge_batches` — the same path
-the analytic execution mode uses, pinned bit-identical to EXACT execution
-by ``tests/test_execution_modes.py``) and never runs a numpy forward; the
-expensive forwards happen in parallel on the worker processes, whose nodes
-replay the identical dispatch sequence.
+(:meth:`~repro.cluster.node.ClusterNode._charge_batches` — the path both
+execution modes charge through, pinned bit-identical to the engine-bound
+forward by ``tests/test_execution_modes.py``) and never runs a numpy
+forward; the expensive forwards happen in parallel on the worker
+processes, whose nodes replay the identical dispatch sequence.
 
 Because placements, reservations, virtual timing, ledgers and deadline
 outcomes all derive from the shadow charges, the coordinator's loop is

@@ -120,6 +120,43 @@ class TestReferencesResolve:
             assert anchor in experiments, anchor
 
 
+class TestMetricInventory:
+    """docs/OBSERVABILITY.md names every metric family and label in src/."""
+
+    @staticmethod
+    def _declared():
+        families, labels = set(), set()
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                ):
+                    continue
+                if node.args and isinstance(node.args[0], ast.Constant):
+                    families.add(node.args[0].value)
+                for keyword in node.keywords:
+                    if keyword.arg == "labelnames":
+                        labels.update(ast.literal_eval(keyword.value))
+        return families, labels
+
+    def test_every_family_and_label_is_documented(self):
+        doc = _read("docs/OBSERVABILITY.md")
+        documented = set()
+        for span in re.findall(r"`([^`]+)`", doc):
+            documented.update(re.findall(r"\w+", span))
+            # `prefix_{a,b}_suffix` brace lists name one family per entry.
+            for head, options, tail in re.findall(r"(\w*)\{([\w,]+)\}(\w*)", span):
+                documented.update(head + option + tail for option in options.split(","))
+        vocabulary = re.search(r"Label names come from a \*\*closed vocabulary\*\*.*?\n\n", doc, re.S)
+        assert vocabulary, "the closed label vocabulary paragraph is missing"
+        families, labels = self._declared()
+        assert len(families) > 25 and "sla" in labels
+        undocumented_labels = labels - set(re.findall(r"`(\w+)`", vocabulary.group(0)))
+        assert (sorted(families - documented), sorted(undocumented_labels)) == ([], [])
+
+
 class TestPackageMetadata:
     def test_version_exposed(self):
         import repro

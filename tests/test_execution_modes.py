@@ -49,6 +49,38 @@ def _macro_records(engine):
     ]
 
 
+def _node_state(node):
+    """Everything an exact dispatch leaves on a node, for twin comparisons."""
+    engine, cache = node.engine, node.engine.cache
+    return (
+        engine.statistics(),
+        _macro_records(engine),
+        {model_id: list(counts) for model_id, counts in node.forward_counts.items()},
+        [(layer_id, cache.peek(layer_id).hits) for layer_id in cache.resident_layers],
+        (cache.hits, cache.misses, cache.evictions),
+    )
+
+
+def _dispatch_twins(golden, reference, model_id, parts):
+    """Serve one group on both twins and assert they agree bit for bit.
+
+    Predictions, every ``NodeDispatch`` field and the node state must match.
+    """
+    answers_g, dispatch_g = golden.execute_group(model_id, parts)
+    answers_r, dispatch_r = reference.execute_group(model_id, parts)
+    assert len(answers_g) == len(answers_r) == len(parts)
+    for got, want in zip(answers_g, answers_r):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for field in dataclasses.fields(dispatch_g):
+        got, want = getattr(dispatch_g, field.name), getattr(dispatch_r, field.name)
+        if field.name == "predictions":
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        else:
+            assert got == want, field.name
+    assert _node_state(golden) == _node_state(reference)
+    return dispatch_g
+
+
 @pytest.fixture(scope="module")
 def trained():
     dataset = make_pattern_image_dataset(samples=120, size=8, seed=13)
@@ -195,6 +227,140 @@ class TestNodeFidelity:
         assert dispatch.critical_path_cycles == max(per_macro) > 0
         assert dispatch.energy_j == node.chip.stats.total_energy_j > 0
         assert dispatch.compute_s == max(per_macro) * node.cycle_time_s > 0
+
+    @staticmethod
+    def _twins(monkeypatch, models, **kwargs):
+        """An exact node and its engine-bound reference twin.
+
+        The twin's exact batches run through the engine-bound model, the
+        batch loop a read-disturb chip keeps.
+        """
+        golden = ClusterNode("twin", vdd=0.9, **kwargs)
+        reference = ClusterNode("twin", vdd=0.9, **kwargs)
+        monkeypatch.setattr(
+            reference, "_golden_batches", reference._engine_bound_batches
+        )
+        for node in (golden, reference):
+            for model_id, model in models:
+                node.register_model(model_id, model, allow_transient=True)
+        return golden, reference
+
+    @pytest.mark.parametrize("max_batch_size", [1, 3, 256])
+    def test_exact_node_matches_the_engine_bound_batch_loop(
+        self, trained, monkeypatch, max_batch_size
+    ):
+        dataset, cnn = trained
+        images = dataset.test_images
+        golden, reference = self._twins(
+            monkeypatch, [("cnn", cnn)], num_macros=16, max_batch_size=max_batch_size
+        )
+        # Sizes 2, 2, 1, 4: at batch size 3 the second and fourth parts
+        # straddle a batch boundary.
+        group = [
+            (images[0:2], None),
+            (images[2:4], "b"),
+            (images[4:5], None),
+            (images[5:9], "d"),
+        ]
+        cold = _dispatch_twins(golden, reference, "cnn", group)
+        assert cold.programmed and not cold.affinity_hit
+        warm = _dispatch_twins(golden, reference, "cnn", group)
+        assert warm.affinity_hit and not warm.programmed
+        _dispatch_twins(golden, reference, "cnn", [(images[9:16], None)])
+        for node in (golden, reference):
+            node.degrade(1.7)
+        _dispatch_twins(golden, reference, "cnn", group)
+        for node in (golden, reference):
+            node.restore()
+            node.retune(0.7)
+        assert _dispatch_twins(golden, reference, "cnn", group).programmed
+        _dispatch_twins(golden, reference, "cnn", group[1:3])
+        assert golden.forward_counts["cnn"][1] == 9 * 4 + 7 + 3
+        assert golden.ledger().total_cycles == reference.ledger().total_cycles
+        assert golden.ledger().total_energy_j == reference.ledger().total_energy_j
+
+    @pytest.mark.parametrize("num_macros", [8, 16], ids=["transient", "evicting"])
+    def test_exact_node_matches_the_engine_bound_batch_loop_under_contention(
+        self, trained, monkeypatch, num_macros
+    ):
+        # Either model alone fits 16 macros but not both, so every switch
+        # evicts and re-programs; on 8 macros the largest layer never
+        # becomes resident and is programmed on every call.
+        dataset, cnn = trained
+        other, _ = train_pattern_cnn(dataset, epochs=2, seed=7)
+        images = dataset.test_images
+        golden, reference = self._twins(
+            monkeypatch, [("a", cnn), ("b", other)], num_macros=num_macros, max_batch_size=3
+        )
+        group = [(images[0:2], None), (images[2:7], None)]
+        for model_id in ("a", "b", "a", "a", "b"):
+            _dispatch_twins(golden, reference, model_id, group)
+        # Some of the six layers were programmed more than once.
+        assert golden.engine.cache.misses > 6
+        assert (golden.engine.cache.evictions > 0) == (num_macros == 16)
+
+    def test_twin_comparison_catches_a_perturbed_charge_row(self, trained, monkeypatch):
+        dataset, cnn = trained
+        group = [(dataset.test_images[0:2], None), (dataset.test_images[2:5], None)]
+        golden, reference = self._twins(
+            monkeypatch, [("cnn", cnn)], num_macros=16, max_batch_size=3
+        )
+        _dispatch_twins(golden, reference, "cnn", group)  # cold: programs
+        engine = golden.engine
+        honest = engine._charge_rows_for
+
+        def perturbed(entry, batch):
+            first, *rest = honest(entry, batch)
+            first = list(first)
+            first[3] += 1  # one more MULT cycle...
+            first[8] += 1  # ...and on the macro's running cycle count
+            return (tuple(first), *rest)
+
+        monkeypatch.setattr(engine, "_charge_rows_for", perturbed)
+        with pytest.raises(AssertionError):
+            _dispatch_twins(golden, reference, "cnn", group)
+
+    def test_twin_comparison_catches_a_flipped_prediction(self, trained, monkeypatch):
+        dataset, cnn = trained
+        group = [(dataset.test_images[0:2], None), (dataset.test_images[2:5], None)]
+        golden, reference = self._twins(
+            monkeypatch, [("cnn", cnn)], num_macros=16, max_batch_size=3
+        )
+        _dispatch_twins(golden, reference, "cnn", group)
+        honest = golden._plain_forward
+
+        def flipped(model_id, images):
+            predictions = honest(model_id, images).copy()
+            predictions[0] = (predictions[0] + 1) % 3
+            return predictions
+
+        monkeypatch.setattr(golden, "_plain_forward", flipped)
+        with pytest.raises(AssertionError):
+            _dispatch_twins(golden, reference, "cnn", group)
+
+    def test_exact_node_on_a_disturb_chip_computes_on_the_per_lane_path(self, monkeypatch):
+        dataset = make_pattern_image_dataset(samples=40, size=5, seed=3)
+        cnn, _ = train_pattern_cnn(
+            dataset, conv_channels=(2,), hidden_sizes=(4,), epochs=2, seed=3
+        )
+        config = MacroConfig(precision_bits=8, inject_read_disturb=True, seed=5)
+        node = ClusterNode("disturb", num_macros=2, config=config, max_batch_size=1)
+        node.register_model("cnn", cnn)
+        calls = []
+        per_lane = node.engine.matmul_reference
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return per_lane(*args, **kwargs)
+
+        monkeypatch.setattr(node.engine, "matmul_reference", spy)
+        monkeypatch.setattr(
+            node, "_plain_forward", lambda *args: pytest.fail("golden forward ran")
+        )
+        node.execute_group("cnn", [(dataset.test_images[:2], None)])
+        layers = len(node.layer_ids("cnn"))
+        assert len(calls) == 2 * layers  # two batches of one image
+        assert node.forward_counts["cnn"] == [2, 2]
 
     def test_exact_node_does_not_age(self, trained):
         # A dispatch must not leave per-request or per-batch records behind:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterNode, ClusterRouter
-from repro.cluster.node import ExecutionMode, NodeSpec
+from repro.cluster.node import ExecutionMode
 from repro.cluster.router import SLAClass
 from repro.dnn import make_pattern_image_dataset, train_pattern_cnn
 from repro.errors import ConfigurationError
@@ -400,6 +400,22 @@ class TestFleetFidelity:
                 pass
             result = fleet.result(request_id)
             assert np.all(np.asarray(result.predictions) >= 0)
+
+    def test_an_idle_worker_gets_its_dispatch_at_once(self, trained):
+        # With no sent group awaiting its completion the worker is idle, so
+        # the group leaves the outbox at once instead of waiting for
+        # flush_every groups or a drain.
+        dataset, model = trained
+        with FleetCluster(
+            make_nodes(count=2), workers=1, transport="thread", flush_every=64
+        ) as fleet:
+            fleet.register_model("cnn", model)
+            request_id = fleet.submit("cnn", dataset.test_images[:3])
+            assert fleet._router.dispatch_next() is not None
+            assert fleet._handles[0].outbox == []
+            fleet.drain()
+            predictions = fleet.result(request_id).predictions
+            assert np.array_equal(predictions, model.predict(dataset.test_images[:3]))
 
     def test_replay_trace_reports_honest_wall_time(self, trained):
         dataset, model = trained

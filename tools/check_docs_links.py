@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Set
 
 LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)\)")
 WIKIREF_RE = re.compile(r"\[\[([^\]\n]+)\]\]")
