@@ -16,6 +16,9 @@ The acceptance gates of the fleet-workers PR:
 * the fleet run's cluster ledger (cycles **and** energy) and its
   deadline-miss set are *identical* to the oracle's — the deterministic
   merge is not allowed to cost accuracy;
+* every request's fleet predictions equal the oracle's — the workers'
+  fused golden forwards, run in real spawn processes, must give each
+  request what it gets alone;
 * every admitted request completes on both sides (request conservation);
 * the worker-vs-shadow barrier audit passes after the replay;
 * at full fidelity on a multi-core box, fleet requests/sec >=
@@ -29,6 +32,8 @@ bench-regression CI gate.
 """
 
 import os
+
+import numpy as np
 
 from repro.analysis.report import format_table
 from repro.cluster import (
@@ -114,11 +119,12 @@ def _collect(router, stats):
     stats["deadline_misses"] = float(
         sum(1 for trace in router.telemetry.traces if trace.deadline_missed)
     )
-    return stats, {
-        trace.request_id
+    misses = {trace.request_id for trace in router.telemetry.traces if trace.deadline_missed}
+    predictions = {
+        trace.request_id: router.result(trace.request_id).predictions
         for trace in router.telemetry.traces
-        if trace.deadline_missed
     }
+    return stats, misses, predictions
 
 
 def _run_single(cnn, pool, trace):
@@ -135,19 +141,19 @@ def _run_fleet(cnn, pool, trace):
         _warm(fleet, pool)
         stats = fleet.replay_trace(trace, pool, drain_every=64)
         audit = fleet.sync()
-        stats, misses = _collect(fleet, stats)
+        stats, misses, predictions = _collect(fleet, stats)
         stats["audited_nodes"] = float(audit["audited_nodes"])
         stats["worker_crashes"] = float(fleet.worker_crashes)
         stats["tensor_segments"] = float(fleet._store.segments_created)
         stats["tensor_reuse_hits"] = float(fleet._store.reuse_hits)
-        return stats, misses
+        return stats, misses, predictions
 
 
 def test_fleet_workers_speedup_and_fidelity(benchmark, reporter, write_results_json):
     cnn, pool, trace = _build_workload()
 
-    single_stats, single_misses = _run_single(cnn, pool, trace)
-    (fleet_stats, fleet_misses) = benchmark.pedantic(
+    single_stats, single_misses, single_predictions = _run_single(cnn, pool, trace)
+    (fleet_stats, fleet_misses, fleet_predictions) = benchmark.pedantic(
         _run_fleet, args=(cnn, pool, trace), rounds=1, iterations=1
     )
 
@@ -158,6 +164,11 @@ def test_fleet_workers_speedup_and_fidelity(benchmark, reporter, write_results_j
         and fleet_stats["ledger_energy_j"] == single_stats["ledger_energy_j"]
     )
     misses_identical = fleet_misses == single_misses
+    predictions_identical = fleet_predictions.keys() == single_predictions.keys() and all(
+        np.array_equal(predictions, single_predictions[request_id])
+        for request_id, predictions in fleet_predictions.items()
+    )
+    fleet_stats["predictions_identical"] = 1.0 if predictions_identical else 0.0
 
     rows = [
         [
@@ -180,6 +191,7 @@ def test_fleet_workers_speedup_and_fidelity(benchmark, reporter, write_results_j
         format_table(["mode", "requests", "req/s", "speedup", "misses"], rows)
         + f"\nledger identical: {ledger_identical}; "
         f"miss sets identical: {misses_identical}; "
+        f"predictions identical: {predictions_identical}; "
         f"audited nodes: {int(fleet_stats['audited_nodes'])}; "
         f"shm segments: {int(fleet_stats['tensor_segments'])} "
         f"(reuse hits {int(fleet_stats['tensor_reuse_hits'])}); "
@@ -219,6 +231,7 @@ def test_fleet_workers_speedup_and_fidelity(benchmark, reporter, write_results_j
         f"deadline-miss sets diverged "
         f"({len(fleet_misses)} vs {len(single_misses)})"
     )
+    assert predictions_identical, "fleet predictions diverged from the single-process run"
     assert fleet_stats["completed"] == fleet_stats["requests"] == REQUESTS
     assert single_stats["completed"] == single_stats["requests"] == REQUESTS
     assert fleet_stats["worker_crashes"] == 0.0

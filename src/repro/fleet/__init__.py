@@ -13,10 +13,10 @@ The split that makes this possible:
   priced through the engine's exact-charge API (pinned bit-identical to
   EXACT execution by the execution-mode tests), so scheduling never waits
   on a worker.
-* **Workers** (:func:`worker_main`) rebuild the real nodes from the same
-  :class:`~repro.cluster.node.NodeSpec` recipes and run the numpy
-  forwards in parallel, returning prediction tensors that land in place
-  inside the placeholder arrays the shadows handed out.
+* **Workers** (:func:`worker_main`) replay their shard's dispatches on
+  the same charge-only replicas and run the numpy forwards in parallel,
+  one golden forward per model over each run of dispatches they receive;
+  the predictions land in place inside the shadows' placeholder arrays.
 * Activation tensors cross the process boundary once per distinct digest
   via the shared-memory :class:`TensorStore`/:class:`TensorReader` pair.
 * At :meth:`FleetCluster.sync` barriers, worker ledgers are audited
@@ -25,7 +25,7 @@ The split that makes this possible:
 
 Worker death is a fault, not a failure: queued requests replay onto
 survivors through the router's backlog-replay machinery, and in-flight
-groups are recovered coordinator-side with charge-free plain forwards.
+groups are recovered coordinator-side with the same fused forward.
 """
 
 from repro.cluster.node import NodeSpec

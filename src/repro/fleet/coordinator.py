@@ -10,10 +10,10 @@ The division of labour:
   shadows' exact-charge accounting, so it is deterministic, never waits
   on a worker, and is bit-identical to a single-process
   :class:`~repro.cluster.router.ClusterRouter` over the same fleet.
-* **Workers** — the numpy forwards, in parallel, against real nodes
-  rebuilt from the same :class:`~repro.cluster.node.NodeSpec` recipes.
-  Completions carry only prediction tensors, written in place into the
-  placeholder arrays the shadows handed out.
+* **Workers** — the numpy forwards, in parallel: one golden forward per
+  model over each run of dispatches, replayed on the same charge-only
+  replicas.  Completions carry only prediction tensors, written in place
+  into the placeholder arrays the shadows handed out.
 
 Message flow is work-conserving and batched: a worker with no sent group
 awaiting its completion gets a new group at once, a busy one up to
@@ -24,8 +24,8 @@ the digest-keyed shared-memory :class:`~repro.fleet.shm.TensorStore`.
 **Crash handling.**  A dead pipe marks the worker's shadow nodes FAILED —
 the router's own backlog-replay machinery (PR 5) then re-places queued
 requests onto survivors, flagged ``replayed`` — and every unacknowledged
-in-flight group is recovered locally through the shadow's charge-free
-``_plain_forward`` (bit-identical predictions, no double accounting:
+in-flight group is recovered locally by the workers' charge-free fused
+forward (bit-identical predictions, no double accounting:
 those groups' ledger charges and traces were already recorded by the
 shadow at dispatch time).
 
@@ -45,8 +45,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster.node import ClusterNode, NodeSpec, NodeState
 from repro.errors import ConfigurationError
 from repro.fleet.messages import (
@@ -61,7 +59,7 @@ from repro.fleet.messages import (
     TensorRef,
     WorkerFailure,
 )
-from repro.fleet.shadow import FleetRouter, ShadowNode
+from repro.fleet.shadow import FleetRouter, PendingGroup, ShadowNode, forward_into
 from repro.fleet.shm import TensorStore
 from repro.fleet.worker import WorkerConfig, worker_main
 from repro.obs import MetricsRegistry
@@ -83,11 +81,9 @@ class _InflightGroup:
     """One shipped dispatch group awaiting its completion."""
 
     seq: int
-    node_id: str
-    model_id: str
     request_ids: Tuple[int, ...]
     refs: Tuple[TensorRef, ...]
-    targets: List[np.ndarray]
+    pending: PendingGroup
 
 
 @dataclass
@@ -113,7 +109,10 @@ class FleetCluster:
     (``submit`` / ``drain`` / ``result`` / ``queue_depth`` / ``ledger`` /
     ``replay_trace`` / ``shutdown`` ...); anything else delegates to the
     internal coordinator router, which *is* a ``ClusterRouter`` over the
-    shadow fleet.
+    shadow fleet.  Workers replay the dispatches on the same replicas and
+    fuse their golden forwards, so predictions are exact whatever mode the
+    specs name; read-disturb chips are refused (no replica runs their
+    engine-bound forward).
 
     Args:
         nodes: The fleet description — :class:`ClusterNode` instances
@@ -175,6 +174,11 @@ class FleetCluster:
         if any(not isinstance(spec, NodeSpec) for spec in specs):
             raise ConfigurationError(
                 "nodes must be ClusterNode or NodeSpec instances"
+            )
+        if any(spec.config.inject_read_disturb for spec in specs):
+            raise ConfigurationError(
+                "a fleet cannot serve read-disturb chips: "
+                "no replica runs their engine-bound forward"
             )
         if workers > len(specs):
             raise ConfigurationError(
@@ -326,11 +330,9 @@ class FleetCluster:
             digests.append(digest)
         group = _InflightGroup(
             seq=self._next_seq,
-            node_id=node_id,
-            model_id=pending.model_id,
             request_ids=request_ids,
             refs=tuple(refs),
-            targets=pending.targets,
+            pending=pending,
         )
         self._next_seq += 1
         self._pending_predictions.update(request_ids)
@@ -338,7 +340,7 @@ class FleetCluster:
         if not handle.alive:
             # The worker died between the shadow failing and the router
             # noticing (or the fill is racing a crash): recover locally.
-            self._recover_group(group)
+            self._recover(handle, [group])
             return
         handle.inflight[group.seq] = group
         handle.outbox.append(
@@ -416,7 +418,7 @@ class FleetCluster:
             group = handle.inflight.pop(message.seq, None)
             if group is None:  # pragma: no cover - defensive
                 return
-            for target, predictions in zip(group.targets, message.predictions):
+            for target, predictions in zip(group.pending.targets, message.predictions):
                 target[:] = predictions
             self._settle_group(group)
         elif isinstance(message, SyncReply):
@@ -461,22 +463,17 @@ class FleetCluster:
         # Unacknowledged in-flight groups were already charged and traced
         # by their shadows — only the predictions are missing.  Recover
         # them locally, charge-free and bit-identical.
-        for group in list(handle.inflight.values()):
-            self._recover_group(group)
+        self._recover(handle, list(handle.inflight.values()))
         handle.inflight.clear()
         handle.outbox.clear()
 
-    def _recover_group(self, group: _InflightGroup) -> None:
-        shadow = self._shadow_by_id[group.node_id]
-        arrays = [self._store.array(ref.digest) for ref in group.refs]
-        grouped = shadow._plain_forward(group.model_id, np.concatenate(arrays))
-        offset = 0
-        for target in group.targets:
-            size = target.shape[0]
-            target[:] = grouped[offset : offset + size]
-            offset += size
-        self.locally_recovered += len(group.request_ids)
-        self._settle_group(group)
+    def _recover(self, handle: _WorkerHandle, groups: List[_InflightGroup]) -> None:
+        """Fill a dead worker's in-flight groups, one forward per model."""
+        step = min(spec.max_batch_size for spec in handle.config.specs)
+        forward_into([group.pending for group in groups], step)
+        for group in groups:
+            self.locally_recovered += len(group.request_ids)
+            self._settle_group(group)
 
     @property
     def live_workers(self) -> List[int]:

@@ -1,4 +1,4 @@
-"""Coordinator-side node replicas: charge the accounting, skip the math.
+"""Charge-only node replicas: charge the accounting, skip the math.
 
 The fleet's central design move: the coordinator runs the *unmodified*
 virtual-time admission/scheduling loop of :class:`~repro.cluster.router.
@@ -8,8 +8,9 @@ batch is charged through the engine's exact-charge API
 (:meth:`~repro.cluster.node.ClusterNode._charge_batches` — the path both
 execution modes charge through, pinned bit-identical to the engine-bound
 forward by ``tests/test_execution_modes.py``) and never runs a numpy
-forward; the expensive forwards happen in parallel on the worker
-processes, whose nodes replay the identical dispatch sequence.
+forward.  Workers replay their shard's dispatches on the same class and
+compute the predictions apart, one golden forward per model over each
+run of dispatches they receive (:func:`forward_into`).
 
 Because placements, reservations, virtual timing, ledgers and deadline
 outcomes all derive from the shadow charges, the coordinator's loop is
@@ -23,33 +24,35 @@ already-returned :class:`~repro.cluster.router.ClusterResult` sees them).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.node import ClusterNode, ExecutionMode, NodeSpec, _part_views
 from repro.cluster.router import ClusterRouter
 
-__all__ = ["ShadowNode", "FleetRouter", "PendingGroup", "shadows_from_specs"]
+__all__ = ["ShadowNode", "FleetRouter", "PendingGroup", "forward_into", "shadows_from_specs"]
 
 
 class PendingGroup:
     """What a shadow dispatch left behind for the coordinator to ship.
 
-    ``targets`` are the sentinel-filled placeholder arrays the router
-    already handed out inside results — one per part, consecutive views of
-    the group's backing array, matching the worker's grouped forward — and
-    the worker's completion is written into them in place.
+    ``targets`` are the sentinel-filled placeholder arrays the dispatch
+    handed out — one per part, consecutive views of the group's backing
+    array.  :func:`forward_into` fills them on a worker (and on the
+    coordinator after a worker death); a completion fills them in place.
     """
 
-    __slots__ = ("model_id", "parts", "targets")
+    __slots__ = ("node", "model_id", "parts", "targets")
 
     def __init__(
         self,
+        node: ClusterNode,
         model_id: str,
         parts: Sequence[Tuple[np.ndarray, Optional[str]]],
         grouped: np.ndarray,
     ) -> None:
+        self.node = node
         self.model_id = model_id
         self.parts = list(parts)
         self.targets: List[np.ndarray] = _part_views(grouped, parts)
@@ -58,15 +61,15 @@ class PendingGroup:
 class ShadowNode(ClusterNode):
     """A charge-only replica of one fleet node.
 
-    Built from the same :class:`~repro.cluster.node.NodeSpec` as the
-    worker-side real node (``spec.build(node_cls=ShadowNode)``), so
-    pricing, residency, batching and ledger behaviour match exactly: it
-    runs the inherited dispatch body and overrides only the per-group
-    compute hook.  Dispatches report ``execution_mode="exact"`` because
-    that is what the paired worker runs — the shadow is an accounting proxy
-    for it, not an analytic-mode node.  Its own mode is EXACT for the same
-    reason, so the router charges every shadow dispatch directly and never
-    takes the memoised analytic fast path.
+    Built from a :class:`~repro.cluster.node.NodeSpec` on both sides of the
+    pipe (``spec.build(node_cls=ShadowNode)``), so pricing, residency,
+    batching and ledger behaviour match exactly: it runs the inherited
+    dispatch body and overrides only the per-group compute hook.
+    Dispatches report ``execution_mode="exact"`` because the predictions
+    come from the golden forward — the shadow is an accounting proxy for an
+    exact node, not an analytic-mode node.  Its own mode is EXACT for the
+    same reason, so the router charges every shadow dispatch directly and
+    never takes the memoised analytic fast path.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -109,7 +112,7 @@ class ShadowNode(ClusterNode):
         # impossible value: a prediction read before its completion
         # arrived is loudly wrong instead of silently plausible.
         grouped = np.full((total,), -1, dtype=np.int64)
-        self._pending = PendingGroup(model_id, parts, grouped)
+        self._pending = PendingGroup(self, model_id, parts, grouped)
         return grouped, totals, (False,) * len(parts)
 
 
@@ -134,6 +137,31 @@ class FleetRouter(ClusterRouter):
         return rids
 
 
+def forward_into(groups: Sequence[PendingGroup], step: int) -> int:
+    """Fill pending groups' placeholders with one golden forward per model.
+
+    A model's images run through its first group's node in slices of at
+    most ``step`` images; scales are per image, so each part gets what it
+    gets alone.  Returns the number of forward calls.
+    """
+    by_model: Dict[str, List[PendingGroup]] = {}
+    for group in groups:
+        by_model.setdefault(group.model_id, []).append(group)
+    calls = 0
+    for model_id, members in by_model.items():
+        stacked = np.concatenate([images for group in members for images, _ in group.parts])
+        starts = range(0, stacked.shape[0], step)
+        calls += len(starts)
+        forward = members[0].node._plain_forward
+        predictions = np.concatenate([forward(model_id, stacked[i : i + step]) for i in starts])
+        offset = 0
+        for group in members:
+            for target in group.targets:
+                target[:] = predictions[offset : offset + target.shape[0]]
+                offset += target.shape[0]
+    return calls
+
+
 def shadows_from_specs(specs: Sequence[NodeSpec]) -> List[ShadowNode]:
-    """Build the coordinator's replica fleet from the shared recipes."""
+    """Build a charge-only replica fleet from the shared recipes."""
     return [spec.build(node_cls=ShadowNode) for spec in specs]

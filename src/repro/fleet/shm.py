@@ -138,7 +138,7 @@ class TensorStore:
         return ref
 
     def array(self, digest: str) -> np.ndarray:
-        """The tensor published under a digest (crash-replay path)."""
+        """The tensor published under a digest."""
         entry = self._entries.get(digest)
         if entry is None:
             raise ConfigurationError(f"unknown tensor digest {digest!r}")

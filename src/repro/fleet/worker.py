@@ -1,13 +1,16 @@
-"""The worker process: real nodes, real forwards, no scheduling.
+"""The worker process: charge-only replicas, fused forwards, no scheduling.
 
-``worker_main`` is the spawn-context entry point.  A worker owns the
-*real* :class:`~repro.cluster.node.ClusterNode` replicas of its shard
-(built from the pickled :class:`~repro.cluster.node.NodeSpec` recipes),
-resolves activation tensors through a :class:`~repro.fleet.shm.
-TensorReader`, and executes dispatch groups exactly as the coordinator's
-shadows charged them — same nodes, same order, same batch formation — so
-its ledgers are bit-identical to the shadows' and the sync-barrier
-cross-check can hold them to equality.
+``worker_main`` is the spawn-context entry point.  A worker builds its
+shard as the coordinator's own :class:`~repro.fleet.shadow.ShadowNode`
+replicas (from the pickled :class:`~repro.cluster.node.NodeSpec`
+recipes), resolves activation tensors through a :class:`~repro.fleet.
+shm.TensorReader`, and charges each dispatch group exactly as the
+coordinator's shadow did — same class, same order, same batch formation
+— so its ledgers are bit-identical to the shadows' and the sync-barrier
+cross-check can hold them to equality.  Each run of consecutive dispatches
+gets one golden forward per model (:func:`~repro.fleet.shadow.
+forward_into`) and its completions, in ``seq`` order, before any later
+reply.
 
 The loop is single-threaded and message-driven (the event-style,
 non-threaded concurrency shape): receive one batch of messages, process
@@ -16,7 +19,7 @@ but the pipe, and it never makes a scheduling decision.
 
 ``crash_after`` is the deterministic fault hook of the crash drills: the
 worker dies (hard ``os._exit`` from a process, soft pipe-close from a
-thread transport) *after* completing that many dispatch groups and
+thread transport) *after* charging that many dispatch groups and
 *before* acknowledging the next — exactly the mid-batch window the
 coordinator's recovery has to cover.
 """
@@ -40,6 +43,7 @@ from repro.fleet.messages import (
     SyncReply,
     WorkerFailure,
 )
+from repro.fleet.shadow import forward_into, shadows_from_specs
 from repro.fleet.shm import TensorReader
 from repro.obs import MetricsRegistry
 
@@ -53,7 +57,7 @@ class WorkerConfig:
     rank: int
     specs: Tuple[NodeSpec, ...]
     log_path: Optional[str] = None
-    #: Crash drill: die after completing this many dispatch groups,
+    #: Crash drill: die after charging this many dispatch groups,
     #: before acknowledging the next (``None`` = never).
     crash_after: Optional[int] = None
     #: ``True``: die with ``os._exit`` (spawn transport).  ``False``:
@@ -81,7 +85,8 @@ def worker_main(config: WorkerConfig, conn) -> None:
         conn: The child end of a :func:`multiprocessing.Pipe`.
     """
     log = _log_writer(config)
-    nodes = {spec.node_id: spec.build() for spec in config.specs}
+    nodes = {node.node_id: node for node in shadows_from_specs(config.specs)}
+    step = min(spec.max_batch_size for spec in config.specs)
     reader = TensorReader()
     metrics = MetricsRegistry()
     labels = {"rank": str(config.rank)}
@@ -100,6 +105,11 @@ def worker_main(config: WorkerConfig, conn) -> None:
         "Images executed by this worker.",
         labelnames=("rank",),
     ).labels(**labels)
+    forwards_counter = metrics.counter(
+        "fleet_worker_forwards_total",
+        "Golden forward calls run by this worker.",
+        labelnames=("rank",),
+    ).labels(**labels)
     tensor_fetches = metrics.counter(
         "fleet_worker_tensor_fetches_total",
         "TensorRef resolutions, by shared-memory cache outcome.",
@@ -107,6 +117,14 @@ def worker_main(config: WorkerConfig, conn) -> None:
     )
 
     groups_done = 0
+    run = []  # (seq, pending group) of the current run of dispatches
+
+    def complete(replies) -> None:
+        """Forward the run's groups and append their completions."""
+        forwards_counter.inc(forward_into([group for _, group in run], step))
+        replies.extend(Completion(seq, tuple(group.targets)) for seq, group in run)
+        run.clear()
+
     log(f"online pid={os.getpid()} nodes={sorted(nodes)}")
     conn.send([Hello(config.rank, os.getpid(), tuple(sorted(nodes)))])
     try:
@@ -140,15 +158,15 @@ def worker_main(config: WorkerConfig, conn) -> None:
                     tensor_fetches.labels(rank=str(config.rank), outcome="miss").inc(
                         reader.misses - misses_before
                     )
-                    predictions, _ = node.execute_group(
-                        message.model_id, list(zip(arrays, message.digests))
-                    )
+                    node.execute_group(message.model_id, list(zip(arrays, message.digests)))
+                    run.append((message.seq, node.take_pending()))
                     groups_done += 1
                     groups_counter.inc()
                     requests_counter.inc(len(message.request_ids))
                     images_counter.inc(sum(a.shape[0] for a in arrays))
-                    replies.append(Completion(message.seq, tuple(predictions)))
-                elif isinstance(message, RegisterModel):
+                    continue
+                complete(replies)
+                if isinstance(message, RegisterModel):
                     for node in nodes.values():
                         node.register_model(
                             message.model_id,
@@ -184,6 +202,7 @@ def worker_main(config: WorkerConfig, conn) -> None:
                     return
                 else:  # pragma: no cover - protocol misuse guard
                     raise RuntimeError(f"unknown fleet message {message!r}")
+            complete(replies)
             if replies:
                 conn.send(replies)
     except Exception as error:  # forward the failure, then die loudly

@@ -15,12 +15,16 @@ coverage-visible); a bounded set of spawn-transport tests exercises real
 processes, real shared memory and the hard-exit crash drill.
 """
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterNode, ClusterRouter
 from repro.cluster.node import ExecutionMode
 from repro.cluster.router import SLAClass
+from repro.core.config import MacroConfig
 from repro.dnn import make_pattern_image_dataset, train_pattern_cnn
 from repro.errors import ConfigurationError
 from repro.fleet import (
@@ -31,8 +35,19 @@ from repro.fleet import (
     TensorStore,
     WorkerConfig,
     shadows_from_specs,
+    worker_main,
 )
-from repro.fleet.messages import TensorRef
+from repro.fleet.messages import (
+    Completion,
+    Dispatch,
+    Hello,
+    RegisterModel,
+    Retune,
+    Shutdown,
+    Sync,
+    SyncReply,
+    TensorRef,
+)
 from repro.obs import MetricsRegistry
 from repro.utils.validation import check_ledger_conservation
 
@@ -469,6 +484,18 @@ class TestFleetConfiguration:
             # The handler above is a protocol guard, not a worker death.
             assert fleet._handles[0].alive
 
+    def test_read_disturb_nodes_refused_before_workers_start(self):
+        # Shadows charge through the exact-charge API, which refuses
+        # read-disturb chips; the fleet must say so up front instead of
+        # failing its first drain with that lower-level error.
+        node = ClusterNode(
+            "node-0",
+            num_macros=NUM_MACROS,
+            config=MacroConfig(inject_read_disturb=True),
+        )
+        with pytest.raises(ConfigurationError, match="read-disturb"):
+            FleetCluster([node], workers=1, transport="thread")
+
     def test_worker_config_is_picklable(self):
         import pickle
 
@@ -477,6 +504,138 @@ class TestFleetConfiguration:
         )
         clone = pickle.loads(pickle.dumps(config))
         assert clone.rank == 0 and clone.specs[0].node_id == "node-0"
+
+
+# ---------------------------------------------------------------------- #
+# Fused forwards: one golden forward per run of dispatches
+# ---------------------------------------------------------------------- #
+def spy_plain_forward(monkeypatch):
+    """Record the image count of every ``_plain_forward`` call."""
+    calls = []
+    plain_forward = ClusterNode._plain_forward
+
+    def spy(node, model_id, images):
+        calls.append(images.shape[0])
+        return plain_forward(node, model_id, images)
+
+    monkeypatch.setattr(ClusterNode, "_plain_forward", spy)
+    return calls
+
+
+@pytest.mark.timeout(120)
+class TestFusedForwards:
+    #: One received batch: ``(node, part sizes)`` per dispatch, with a
+    #: retune of node-1 ending the first run of dispatches.
+    SCRIPT = (
+        ("node-0", (3,)),
+        ("node-1", (4,)),
+        ("node-0", (2, 3)),
+        ("node-1", (5,)),
+        ("node-0", (1,)),
+        "retune",
+        ("node-1", (6,)),
+        ("node-0", (4,)),
+    )
+
+    def test_worker_forwards_each_run_of_dispatches_in_slices(self, trained, monkeypatch):
+        dataset, model = trained
+        specs = tuple(node.spec() for node in make_nodes(count=2, max_batch_size=8))
+        twins = {spec.node_id: spec.build(node_cls=ShadowNode) for spec in specs}
+        for twin in twins.values():
+            twin.register_model("cnn", model)
+        images = dataset.train_images
+        batch, parts_of, offset = [RegisterModel("cnn", model)], [], 0
+        for step in self.SCRIPT:
+            if step == "retune":
+                batch.append(Retune("node-1", 0.8))
+                twins["node-1"].retune(0.8)
+                continue
+            node_id, sizes = step
+            seq, parts = len(parts_of), []
+            for size in sizes:
+                parts.append(images[offset : offset + size])
+                offset += size
+            twins[node_id].execute_group("cnn", [(part, None) for part in parts])
+            refs = tuple(
+                TensorRef(f"{seq}.{index}", part.shape, "float64", inline=part)
+                for index, part in enumerate(parts)
+            )
+            rids = tuple(range(10 * seq, 10 * seq + len(parts)))
+            batch.append(Dispatch(seq, node_id, "cnn", refs, (None,) * len(parts), rids))
+            parts_of.append(parts)
+        batch.append(Sync(0))
+
+        forwarded = spy_plain_forward(monkeypatch)
+        parent, child = multiprocessing.Pipe()
+        config = WorkerConfig(rank=0, specs=specs, hard_exit=False)
+        worker = threading.Thread(target=worker_main, args=(config, child), daemon=True)
+        worker.start()
+        try:
+            assert parent.poll(30.0) and isinstance(parent.recv()[0], Hello)
+            parent.send(batch)
+            assert parent.poll(30.0), "the worker never replied"
+            replies = parent.recv()
+            parent.send([Shutdown()])
+        finally:
+            worker.join(timeout=10.0)
+            parent.close()
+
+        # Each run of dispatches is one forward, cut into slices of at most
+        # max_batch_size images (18 images, then 10 after the retune).
+        assert forwarded == [8, 8, 2, 8, 2]
+        assert sum(forwarded) == offset
+        assert [type(reply) for reply in replies] == [Completion] * 7 + [SyncReply]
+        assert [reply.seq for reply in replies[:-1]] == list(range(7))
+        for completion, parts in zip(replies, parts_of):
+            assert len(completion.predictions) == len(parts)
+            for predictions, part in zip(completion.predictions, parts):
+                assert np.array_equal(predictions, model.predict(part))
+        sync = replies[-1]
+        for node_id, twin in twins.items():
+            ours, theirs = sync.ledgers[node_id], twin.ledger()
+            assert ours.total_cycles == theirs.total_cycles
+            assert ours.array_accesses == theirs.array_accesses
+            assert ours.total_energy_j == theirs.total_energy_j
+        metrics = sync.metrics["metrics"]
+        assert [s["value"] for s in metrics["fleet_worker_forwards_total"]["samples"]] == [5.0]
+        assert [s["value"] for s in metrics["fleet_worker_dispatch_groups_total"]["samples"]] == [
+            7.0
+        ]
+
+    def test_dead_worker_recovers_with_one_forward_per_model(self, trained, monkeypatch):
+        dataset, model = trained
+        oracle = ClusterRouter(make_nodes(count=2, mixed_vdd=False, max_batch_size=64))
+        oracle.register_model("cnn", model)
+        oracle_ids = submit_mixed(oracle, dataset.test_images, requests=12, seed=4)
+        expected = {r.request_id: r.predictions for r in oracle.drain()}
+        oracle.shutdown()
+        with FleetCluster(
+            make_nodes(count=2, mixed_vdd=False, max_batch_size=64),
+            workers=1,
+            transport="thread",
+        ) as fleet:
+            fleet.register_model("cnn", model)
+            # Nothing leaves the outbox, so every dispatched group is still
+            # in flight when the worker dies.
+            monkeypatch.setattr(fleet, "_flush", lambda handle: None)
+            ids = submit_mixed(fleet, dataset.test_images, requests=12, seed=4)
+            fleet._router.drain()
+            handle = fleet._handles[0]
+            assert len(handle.inflight) == 12
+            while handle.alive and handle.pid is None:  # the worker is up before it dies
+                fleet._receive(handle, timeout=0.2)
+            images = sum(
+                target.shape[0]
+                for group in handle.inflight.values()
+                for target in group.pending.targets
+            )
+            forwarded = spy_plain_forward(monkeypatch)
+            fleet._worker_died(handle)
+            assert forwarded == [images]
+            assert fleet.locally_recovered == 12
+            assert not handle.inflight and not fleet._pending_predictions
+            for ours, theirs in zip(ids, oracle_ids):
+                assert np.array_equal(fleet.result(ours).predictions, expected[theirs])
 
 
 # ---------------------------------------------------------------------- #
