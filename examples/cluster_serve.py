@@ -102,8 +102,9 @@ def main() -> None:
         cluster = router.ledger()
         for node in router.nodes:
             ledger = node.ledger()
+            dispatches = telemetry.node_summary(node.node_id)["dispatches"]
             print(
-                f"  {node.node_id}: {node.telemetry.dispatches:2.0f} dispatches, "
+                f"  {node.node_id}: {dispatches:2.0f} dispatches, "
                 f"{ledger.total_cycles:9d} cycles, "
                 f"{ledger.total_energy_j * 1e9:8.2f} nJ"
             )

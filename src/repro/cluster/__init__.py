@@ -50,7 +50,7 @@ from repro.cluster.scheduler import (
     SLAClass,
     SLAScheduler,
 )
-from repro.cluster.telemetry import ColumnarTelemetry, NodeTelemetry, RequestTrace
+from repro.cluster.telemetry import ColumnarTelemetry, RequestTrace
 from repro.cluster.workload import (
     WorkloadTrace,
     build_image_pool,
@@ -70,7 +70,6 @@ __all__ = [
     "NodeDispatch",
     "NodeSpec",
     "NodeState",
-    "NodeTelemetry",
     "PlacementDecision",
     "ReactiveAutoscaler",
     "RequestEstimate",

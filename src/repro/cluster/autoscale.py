@@ -77,8 +77,9 @@ class ReactiveAutoscaler:
         self.step = 0
         self.actions: List[ScalingAction] = []
         self._idle_steps: Dict[str, int] = {node.node_id: 0 for node in router.nodes}
-        self._dispatches_seen: Dict[str, int] = {
-            node.node_id: node.telemetry.dispatches for node in router.nodes
+        self._dispatches_seen: Dict[str, float] = {
+            node.node_id: router.telemetry.node_summary(node.node_id)["dispatches"]
+            for node in router.nodes
         }
         #: Traces seen as of the previous observation; starts at zero so the
         #: first observe() treats pre-attachment history as fresh traffic.
@@ -134,7 +135,7 @@ class ReactiveAutoscaler:
         # nothing new was dispatched on it and nothing is queued for it.
         for node in router.nodes:
             seen = self._dispatches_seen[node.node_id]
-            now = node.telemetry.dispatches
+            now = router.telemetry.node_summary(node.node_id)["dispatches"]
             self._dispatches_seen[node.node_id] = now
             queued = router.queue_depth(node.node_id)
             if node.state is NodeState.ACTIVE and now == seen and not queued:

@@ -28,7 +28,7 @@ modeled-time span trees of sampled requests (``request_id % sample_every
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class ClusterInstrumentation:
 
     def __init__(self, metrics: MetricsRegistry):
         self.metrics = metrics
-        #: Sorted node ids, set by :func:`attach_cluster_observability`.
-        #: The fleet is fixed at router construction, so folds can skip
-        #: re-deriving the distinct node set from every row chunk.
-        self.node_ids: Optional[Tuple[str, ...]] = None
 
         m = metrics
         self.requests = m.counter(
@@ -204,6 +200,7 @@ class ClusterInstrumentation:
         latency: np.ndarray,
         missed: np.ndarray,
         sla_masks: Dict[str, np.ndarray],
+        node_masks: Dict[str, np.ndarray],
         coalesced_n: int,
         replayed_n: int,
     ) -> None:
@@ -211,15 +208,15 @@ class ClusterInstrumentation:
 
         ``cols`` holds the rows' transposed fields (the telemetry row
         layout); the keyword arrays are the ones
-        ``ColumnarTelemetry._flush`` derives for its own aggregate fold
-        anyway, so the fold's marginal cost is just the grouped
-        ``bincount`` sums below.  The per-``(sla, node)`` series are
-        resolved by integer group codes and three weighted bincounts
-        instead of a masked fancy-indexing pass per pair.
+        ``ColumnarTelemetry._flush`` derives for its own aggregate folds
+        anyway (``sla_masks`` and ``node_masks`` map each class and node
+        present in the chunk, in sorted order, to its rows), so the fold's
+        marginal cost is just the grouped ``bincount`` sums below.  The
+        per-``(sla, node)`` series are resolved by integer group codes and
+        three weighted bincounts instead of a masked fancy-indexing pass
+        per pair.
         """
         n = len(cols[0])
-        node_col = cols[2]
-
         start = np.asarray(cols[6], dtype=np.float64)
         self.queue_delay.record_many(start - arrival)
         if coalesced_n:
@@ -229,19 +226,15 @@ class ClusterInstrumentation:
         self.folds.inc()
 
         sla_values = list(sla_masks)
-        node_values = self.node_ids
-        if node_values is None:
-            node_values = tuple(sorted(set(node_col)))
+        node_values = list(node_masks)
         sla_code = np.zeros(n, dtype=np.intp)
         for index, sla in enumerate(sla_values):
             if index:
                 sla_code[sla_masks[sla]] = index
         node_code = np.zeros(n, dtype=np.intp)
-        if len(node_values) > 1:
-            node_arr = np.asarray(node_col, dtype=object)
-            for index, node in enumerate(node_values):
-                if index:
-                    node_code[node_arr == node] = index
+        for index, node in enumerate(node_values):
+            if index:
+                node_code[node_masks[node]] = index
         num_nodes = len(node_values)
         group = sla_code * num_nodes + node_code
         num_groups = len(sla_values) * num_nodes
@@ -343,7 +336,6 @@ def attach_cluster_observability(
     registered.
     """
     instrumentation = ClusterInstrumentation(metrics)
-    instrumentation.node_ids = tuple(sorted(node.node_id for node in router.nodes))
     metrics.set_virtual_clock(lambda: router.clock_s)
     router._obs = instrumentation
     router.telemetry.instrumentation = instrumentation

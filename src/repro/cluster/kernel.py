@@ -11,7 +11,11 @@ float accumulator receives the identical sequence of additions a direct
 per-dispatch charge performs, add for add.  Integer counters are
 batch-added (exact), LRU order is restored from last-touch order, and
 per-dispatch energies are recovered from the accumulator's slice
-boundaries exactly as ``ledger_since`` subtracts them.
+boundaries exactly as ``ledger_since`` subtracts them.  Each deferred
+telemetry row then receives its image fraction of its dispatch's energy;
+the flush keeps no aggregate of its own, because
+:class:`~repro.cluster.telemetry.ColumnarTelemetry` folds every per-node
+figure from those rows.
 
 :class:`NodeCache` holds the per-node derived state the fast path reads
 (estimates, slice/dispatch signatures, turbo constants), validated on
@@ -20,7 +24,7 @@ access against the live node so any retune or re-programming rebuilds it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -125,10 +129,7 @@ class DispatchSig:
 class ChargeBuffer:
     """Per-node deferred charge state: the slice-event sequence."""
 
-    __slots__ = (
-        "engine", "dispatches", "row_indexes", "ordinals", "fractions",
-        "any_fraction", "macros_seen",
-    )
+    __slots__ = ("engine", "dispatches", "row_indexes", "ordinals", "fractions", "macros_seen")
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -136,12 +137,11 @@ class ChargeBuffer:
         #: (the dsig's own list object — distinct patterns are few, so the
         #: flush dedupes them by identity and replays vectorized).
         self.dispatches: List[List[SliceSig]] = []
-        #: Deferred telemetry rows, as parallel columns:
-        #: row index / dispatch ordinal / coalesced fraction (or None).
+        #: Deferred telemetry rows, as parallel columns: row index /
+        #: dispatch ordinal / the request's image fraction of the dispatch.
         self.row_indexes: List[int] = []
         self.ordinals: List[int] = []
-        self.fractions: List[Optional[float]] = []
-        self.any_fraction = False
+        self.fractions: List[float] = []
         #: Macros whose MULT/ADD records were already created on this chip.
         self.macros_seen: Set[int] = set()
 
@@ -150,7 +150,6 @@ class ChargeBuffer:
         self.row_indexes = []
         self.ordinals = []
         self.fractions = []
-        self.any_fraction = False
 
 
 def flush_charges(node: ClusterNode, buf: ChargeBuffer, telemetry) -> None:
@@ -351,20 +350,10 @@ def flush_charges(node: ClusterNode, buf: ChargeBuffer, telemetry) -> None:
     for step in range(int(slices_per_disp.max(initial=0))):
         mask = slices_per_disp > step
         denergy[mask] = denergy[mask] + slice_deltas[starts_s[mask] + step]
-    row_indexes = buf.row_indexes
-    if row_indexes:
-        shares = denergy[np.asarray(buf.ordinals, dtype=np.intp)]
-        if buf.any_fraction:
-            shares_list = shares.tolist()
-            for k, fraction in enumerate(buf.fractions):
-                if fraction is not None:
-                    shares_list[k] = shares_list[k] * fraction
-            shares = np.asarray(shares_list, dtype=np.float64)
-        else:
-            shares_list = shares.tolist()
-        telemetry.set_energy_batch(row_indexes, shares_list)
-        node_tel = node.telemetry
-        node_tel.energy_j = _fold(node_tel.energy_j, [shares])
+    if buf.row_indexes:
+        # A group of one has fraction 1.0: its share is exact.
+        shares = denergy[np.asarray(buf.ordinals, dtype=np.intp)] * np.asarray(buf.fractions)
+        telemetry.set_energy_batch(buf.row_indexes, shares.tolist())
     buf.reset()
 
 

@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.telemetry import NodeTelemetry
 from repro.core.chip import IMCChip
 from repro.dnn.conv import conv_output_shape
 from repro.core.config import MacroConfig
@@ -369,7 +368,6 @@ class ClusterNode:
         self.chip.bin = bin
         self.engine = TiledMatmulEngine(self.chip)
         self.state = NodeState.ACTIVE
-        self.telemetry = NodeTelemetry(node_id=node_id)
         #: Virtual-time point at which the node's backlog finishes.
         self.available_s = 0.0
         self._models: Dict[str, object] = {}
@@ -980,5 +978,4 @@ class ClusterNode:
             "analytic": 1.0 if self.execution_mode is ExecutionMode.ANALYTIC else 0.0,
             "spot_checks": float(self.spot_checks),
             **{f"memo_{k}": v for k, v in self.forward_memo.summary().items()},
-            **{f"telemetry_{k}": v for k, v in self.telemetry.summary().items()},
         }

@@ -772,13 +772,9 @@ class ClusterRouter:
         """Warm analytic dispatch: template charges, deferred; memo forward."""
         node_id = node.node_id
         model_id = group[0][_E_MODEL]
-        single = len(group) == 1
-        if single:
-            total = group[0][_E_COUNT]
-        else:
-            total = 0
-            for e in group:
-                total += e[_E_COUNT]
+        total = 0
+        for e in group:
+            total += e[_E_COUNT]
         dkey = (model_id, group[0][_E_IMAGES].shape[1:], total)
         dsig = nc.dsigs.get(dkey)
         if dsig is None:
@@ -793,7 +789,6 @@ class ClusterRouter:
             buf.macros_seen.clear()
         # Charges are buffered *before* the forward (the direct path charges
         # before predicting), so a failing spot check leaves them applied.
-        ordinal = len(buf.dispatches)
         buf.dispatches.append(dsig.slices)
         compute_s = dsig.compute_s(node.degrade_factor)
         try:
@@ -804,61 +799,10 @@ class ClusterRouter:
             self._fail_group(node_id, group, error)
             raise
         finish = self._complete(node_id, start, compute_s)
-        coalesced = len(group)
-        telemetry = self.telemetry
-        ntel = node.telemetry
-        retain = self.retain_results
-        replayed_set = self._replayed
-        if not single:
-            buf.any_fraction = True
-        row_app = buf.row_indexes.append
-        ord_app = buf.ordinals.append
-        frac_app = buf.fractions.append
-        rids: List[int] = []
-        for e, request_predictions, checked in zip(group, answers, spot_checked):
-            rid = e[_E_RID]
-            count = e[_E_COUNT]
-            if single:
-                fraction = None
-                compute_share = compute_s
-            else:
-                fraction = count / total
-                compute_share = compute_s * fraction
-            arrival = e[_E_ARRIVAL]
-            deadline = e[_E_DEADLINE]
-            latency = finish - arrival
-            missed = deadline is not None and latency > deadline
-            index = telemetry.record_row(
-                (
-                    rid, model_id, node_id, e[_E_SLA].value, count, arrival,
-                    start, finish, compute_share, deadline, missed, True,
-                    False, e[_E_FEASIBLE], "analytic", coalesced,
-                    checked, rid in replayed_set,
-                ),
-                None,
-            )
-            row_app(index)
-            ord_app(ordinal)
-            frac_app(fraction)
-            # Inlined NodeTelemetry.record (energy deferred to the flush).
-            ntel.dispatches += 1
-            ntel.images += count
-            ntel.busy_s += compute_share
-            if missed:
-                ntel.deadline_misses += 1
-            ntel.affinity_hits += 1
-            sample = compute_share / count
-            if ntel.dispatches == 1:
-                ntel.ewma_image_latency_s = sample
-            else:
-                ntel.ewma_image_latency_s += ntel.ewma_alpha * (
-                    sample - ntel.ewma_image_latency_s
-                )
-            if retain:
-                self._answers[rid] = (index, request_predictions)
-            rids.append(rid)
-        self._completed_count += coalesced
-        return rids
+        return self._record_group(
+            node_id, group, answers, spot_checked, start, finish, compute_s, None,
+            True, False, "analytic",
+        )
 
     def _dispatch_direct(
         self, node: ClusterNode, group: List[tuple], start: float
@@ -881,39 +825,61 @@ class ClusterRouter:
             self._fail_group(node_id, group, error)
             raise
         finish = self._complete(node_id, start, dispatch.compute_s)
+        return self._record_group(
+            node_id, group, predictions, dispatch.spot_checked, start, finish,
+            dispatch.compute_s, dispatch.energy_j, dispatch.affinity_hit,
+            dispatch.programmed, dispatch.execution_mode,
+        )
+
+    def _record_group(
+        self, node_id: str, group: List[tuple], answers, spot_checked,
+        start: float, finish: float, compute_s: float,
+        energy_j: Optional[float], affinity_hit: bool, programmed: bool,
+        mode: str,
+    ) -> List[int]:
+        """Record one completed dispatch's rows; returns their request ids.
+
+        Each request gets its image fraction of the dispatch's compute time
+        and energy.  ``energy_j`` is ``None`` while the node's charges are
+        deferred: the rows then wait in its charge buffer, whose flush
+        fills their energies in.
+        """
+        model_id = group[0][_E_MODEL]
         total = 0
         for e in group:
             total += e[_E_COUNT]
         coalesced = len(group)
-        telemetry = self.telemetry
-        ntel = node.telemetry
+        record_row = self.telemetry.record_row
         retain = self.retain_results
+        replayed_set = self._replayed
+        if energy_j is None:
+            buf = self._buffers[node_id]
+            ordinal = len(buf.dispatches) - 1
+            row_app = buf.row_indexes.append
+            ord_app = buf.ordinals.append
+            frac_app = buf.fractions.append
         rids: List[int] = []
-        for e, request_predictions, checked in zip(group, predictions, dispatch.spot_checked):
+        for e, request_predictions, checked in zip(group, answers, spot_checked):
             rid = e[_E_RID]
             count = e[_E_COUNT]
             # A group of one has fraction 1.0: its shares are exact.
             fraction = count / total
-            compute_share = dispatch.compute_s * fraction
-            energy_share = dispatch.energy_j * fraction
             arrival = e[_E_ARRIVAL]
             deadline = e[_E_DEADLINE]
-            latency = finish - arrival
-            missed = deadline is not None and latency > deadline
-            index = telemetry.record_row(
+            missed = deadline is not None and finish - arrival > deadline
+            index = record_row(
                 (
                     rid, model_id, node_id, e[_E_SLA].value, count, arrival,
-                    start, finish, compute_share, deadline, missed,
-                    dispatch.affinity_hit, dispatch.programmed,
-                    e[_E_FEASIBLE], dispatch.execution_mode, coalesced,
-                    checked, rid in self._replayed,
+                    start, finish, compute_s * fraction, deadline, missed,
+                    affinity_hit, programmed, e[_E_FEASIBLE], mode, coalesced,
+                    checked, rid in replayed_set,
                 ),
-                energy_share,
+                None if energy_j is None else energy_j * fraction,
             )
-            ntel.record(
-                count, compute_share, energy_share, missed,
-                dispatch.affinity_hit, dispatch.programmed,
-            )
+            if energy_j is None:
+                row_app(index)
+                ord_app(ordinal)
+                frac_app(fraction)
             if retain:
                 self._answers[rid] = (index, request_predictions)
             rids.append(rid)
@@ -1277,8 +1243,9 @@ class ClusterRouter:
         on the cross-node interleave — and recovers the heap's exact
         merged order, min ``(max(completed, arrival), node_id)``, with a
         stable lexsort over the per-node start times.  Telemetry rows,
-        charge-buffer events, memo counters/LRU order and node aggregates
-        are written back once per chunk.
+        charge-buffer events and memo counters/LRU order are written back
+        once per chunk; the telemetry folds each node's aggregates from
+        those rows.
         """
         active, node_ids, combos, creq, risk, hazard, key_table = ctx
         nn = len(active)
@@ -1409,14 +1376,7 @@ class ClusterRouter:
                 buf.macros_seen.clear()
             ord0s[j] = len(buf.dispatches)
             dapp = buf.dispatches.append
-            ntel = node.telemetry
             comp_j = comp[j]
-            busy_j = ntel.busy_s
-            ewma_j = ntel.ewma_image_latency_s
-            alpha_j = ntel.ewma_alpha
-            first = ntel.dispatches == 0
-            imgs_j = 0
-            miss_j = 0
             sce_j = node.spot_check_every
             hs_j = node._memo_hits_since_check
             spots_j = 0
@@ -1452,24 +1412,12 @@ class ClusterRouter:
                                 "identify request images)"
                             )
                         spot = True
-                count = combo[14]
-                missed = d is not None and (fin - a) > d
-                if missed:
-                    miss_j += 1
                 rapp((
-                    e_rid, combo[0], nid, sla_values[s], count, a, st,
-                    fin, compute_s, d, missed, True, False, feas,
-                    "analytic", 1, spot, False,
+                    e_rid, combo[0], nid, sla_values[s], combo[14], a, st,
+                    fin, compute_s, d, d is not None and (fin - a) > d, True,
+                    False, feas, "analytic", 1, spot, False,
                 ))
                 sapp(st)
-                imgs_j += count
-                busy_j += compute_s
-                sample = compute_s / count
-                if first:
-                    ewma_j = sample
-                    first = False
-                else:
-                    ewma_j = ewma_j + alpha_j * (sample - ewma_j)
             k = len(pj)
             st_arr[filled:filled + k] = sts_j
             rk_arr[filled:filled + k] = order_of[j]
@@ -1479,12 +1427,6 @@ class ClusterRouter:
                 mxfin = comp_j
             node.available_s = comp_j
             completed[nid] = comp_j
-            ntel.dispatches += k
-            ntel.images += imgs_j
-            ntel.busy_s = busy_j
-            ntel.deadline_misses += miss_j
-            ntel.affinity_hits += k
-            ntel.ewma_image_latency_s = ewma_j
             node._memo_hits_since_check = hs_j
             node.spot_checks += spots_j
         # --- merged order + chunk-boundary write-backs ------------------ #
@@ -1504,7 +1446,7 @@ class ClusterRouter:
             buf2 = buffers[node_ids[j]]
             buf2.row_indexes.extend((inv[ofs:ofs + k] + base).tolist())
             buf2.ordinals.extend(range(ord0s[j], ord0s[j] + k))
-            buf2.fractions.extend(repeat(None, k))
+            buf2.fractions.extend(repeat(1.0, k))
         # Memo hit counters and LRU order: one pass per distinct memo,
         # touching each *key* once (in last-touch order) instead of once
         # per dispatch.
@@ -1573,7 +1515,8 @@ class ClusterRouter:
         return merged
 
     def summary(self) -> Dict[str, object]:
-        """Fleet-wide report: telemetry aggregates plus per-node summaries."""
+        """Fleet-wide report: telemetry aggregates plus per-node summaries,
+        each merged with the node's telemetry aggregates as ``telemetry_<key>``."""
         self.flush_all()
         return {
             "clock_s": self.clock_s,
@@ -1582,5 +1525,14 @@ class ClusterRouter:
             "replayed_requests": float(self.replayed_requests),
             "fault_events_applied": float(len(self.fault_log)),
             "cluster": self.telemetry.summary(),
-            "nodes": {node.node_id: node.summary() for node in self.nodes},
+            "nodes": {
+                node.node_id: {
+                    **node.summary(),
+                    **{
+                        f"telemetry_{key}": value
+                        for key, value in self.telemetry.node_summary(node.node_id).items()
+                    },
+                }
+                for node in self.nodes
+            },
         }

@@ -7,16 +7,14 @@ shared measurement substrate:
 * :class:`RequestTrace` — the immutable record of one routed request
   (placement, modeled queue delay / compute time, energy, deadline outcome,
   whether the weights were already resident on the chosen node);
-* :class:`NodeTelemetry` — per-node aggregates (dispatches, images, energy,
-  modeled busy time, an EWMA of per-image latency) the scheduler reads when
-  ranking candidates and the autoscaler reads when hunting idle nodes;
 * :class:`ColumnarTelemetry` — the fleet-wide trace log, stored as one
-  tuple per request; the running folds (fleet-wide and per SLA class) every
-  whole-history aggregate is read from; and the two *windowed* signals the
-  control loops key on: the recent deadline-miss rate of the latency class
-  and the recent per-model dispatch counts (a model whose recent count
-  crosses the scheduler's threshold is "hot" and becomes eligible for
-  replication onto additional nodes).
+  tuple per request; the running folds (fleet-wide, per SLA class and per
+  node) every whole-history aggregate is read from, so a node's joules,
+  busy time and deadline misses are folds of its own rows; and the two
+  *windowed* signals the control loops key on: the recent deadline-miss
+  rate of the latency class and the recent per-model dispatch counts (a
+  model whose recent count crosses the scheduler's threshold is "hot" and
+  becomes eligible for replication onto additional nodes).
 
 Everything here is measured in the cluster's *modeled* (virtual) time — the
 chip delay/energy models drive the clock, so every signal is deterministic
@@ -34,7 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["RequestTrace", "NodeTelemetry", "ColumnarTelemetry"]
+__all__ = ["RequestTrace", "ColumnarTelemetry"]
 
 
 def _fold(start: float, parts: List[np.ndarray]) -> float:
@@ -93,100 +91,45 @@ class RequestTrace:
         return self.finish_s - self.arrival_s
 
 
-@dataclass
-class NodeTelemetry:
-    """Aggregates of one node's dispatch history.
-
-    ``ewma_image_latency_s`` tracks the per-image modeled compute latency
-    with an exponential moving average — the cheap online signal of how fast
-    this node currently is for the traffic it actually receives (the
-    operating point sets the floor, batch composition moves it around).
-    """
-
-    node_id: str
-    ewma_alpha: float = 0.3
-    dispatches: int = 0
-    images: int = 0
-    energy_j: float = 0.0
-    busy_s: float = 0.0
-    deadline_misses: int = 0
-    affinity_hits: int = 0
-    programmed_dispatches: int = 0
-    ewma_image_latency_s: float = 0.0
-
-    def record(
-        self,
-        images: int,
-        compute_s: float,
-        energy_j: float,
-        missed: bool,
-        affinity_hit: bool,
-        programmed: bool,
-    ) -> None:
-        """Fold one routed request into the node's aggregates."""
-        self.dispatches += 1
-        self.images += images
-        self.energy_j += energy_j
-        self.busy_s += compute_s
-        if missed:
-            self.deadline_misses += 1
-        if affinity_hit:
-            self.affinity_hits += 1
-        if programmed:
-            self.programmed_dispatches += 1
-        sample = compute_s / images
-        if self.dispatches == 1:
-            self.ewma_image_latency_s = sample
-        else:
-            self.ewma_image_latency_s += self.ewma_alpha * (sample - self.ewma_image_latency_s)
-
-    @property
-    def energy_per_image_j(self) -> float:
-        """Measured energy per served image (0 before the first dispatch)."""
-        return self.energy_j / self.images if self.images else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """Flat counters for reports."""
-        return {
-            "dispatches": float(self.dispatches),
-            "images": float(self.images),
-            "energy_j": self.energy_j,
-            "energy_per_image_j": self.energy_per_image_j,
-            "busy_s": self.busy_s,
-            "deadline_misses": float(self.deadline_misses),
-            "affinity_hits": float(self.affinity_hits),
-            "programmed_dispatches": float(self.programmed_dispatches),
-            "ewma_image_latency_s": self.ewma_image_latency_s,
-        }
-
-
 class _Fold:
-    """Running aggregates of every row, or of one SLA class's rows.
+    """Running aggregates of every row, or of one SLA class's or node's rows.
 
-    ``energy`` and ``latency`` are :func:`_fold` continuations, so folding
-    rows in increments adds the same values in the same order as one fold
-    over all of them.
+    ``energy``, ``latency`` and ``busy`` are :func:`_fold` continuations,
+    so folding rows in increments adds the same values in the same order
+    as one fold over all of them.
     """
 
-    __slots__ = ("count", "images", "energy", "latency", "eligible", "missed")
+    __slots__ = (
+        "count", "images", "energy", "latency", "busy", "eligible", "missed",
+        "affinity", "programmed",
+    )
 
     def __init__(self) -> None:
         self.count = 0
         self.images = 0
         self.energy = 0.0
         self.latency = 0.0
+        #: Modeled compute time (a node's busy time).
+        self.busy = 0.0
         #: Deadline-carrying rows, and how many of them missed.
         self.eligible = 0
         self.missed = 0
+        self.affinity = 0
+        self.programmed = 0
 
-    def add(self, images, energy, latency, has_deadline, missed) -> None:
+    def add(
+        self, images, energy, latency, compute, has_deadline, missed, affinity, programmed
+    ) -> None:
         """Fold one chunk of row columns (numpy arrays of equal length)."""
         self.count += len(images)
         self.images += int(images.sum())
         self.energy = _fold(self.energy, [energy])
         self.latency = _fold(self.latency, [latency])
+        self.busy = _fold(self.busy, [compute])
         self.eligible += int(np.count_nonzero(has_deadline))
         self.missed += int(np.count_nonzero(has_deadline & missed))
+        self.affinity += int(np.count_nonzero(affinity))
+        self.programmed += int(np.count_nonzero(programmed))
 
     @property
     def miss_rate(self) -> float:
@@ -195,6 +138,10 @@ class _Fold:
     @property
     def mean_latency_s(self) -> float:
         return self.latency / self.count if self.count else 0.0
+
+    @property
+    def energy_per_image_j(self) -> float:
+        return self.energy / self.images if self.images else 0.0
 
 
 class ColumnarTelemetry:
@@ -206,13 +153,14 @@ class ColumnarTelemetry:
     the reactive signals (recent miss rate, model heat, recent SLA
     presence) to the most recent rows; they are maintained online and
     never need a flush.  Whole-history aggregates are running folds, one
-    for all rows and one per SLA class: every aggregate read flushes (the
-    router's settle hook resolves deferred energies and emits sampled
-    spans, then the rows recorded since the previous flush are folded, in
-    the same pass, into those folds and the attached registry) and reads
-    the folds.  Rows are kept only for :attr:`traces`, :meth:`trace_at` and
-    :meth:`latency_quantiles_s`; with ``retain_traces=False`` flushed rows
-    are dropped (flat memory), and every aggregate stays available.
+    for all rows, one per SLA class and one per node: every aggregate read
+    flushes (the router's settle hook resolves deferred energies and emits
+    sampled spans, then the rows recorded since the previous flush are
+    folded, in the same pass, into those folds and the attached registry)
+    and reads the folds.  Rows are kept only for :attr:`traces`,
+    :meth:`trace_at` and :meth:`latency_quantiles_s`; with
+    ``retain_traces=False`` flushed rows are dropped (flat memory), and
+    every aggregate stays available.
     """
 
     #: Rows buffered in aggregate mode before they are folded into the
@@ -247,9 +195,8 @@ class ColumnarTelemetry:
         self._span_by_request: Dict[int, int] = {}
         self._all = _Fold()
         self._by_sla: Dict[str, _Fold] = {}
+        self._by_node: Dict[str, _Fold] = {}
         # Summary-only counts over every folded row.
-        self._affinity = 0
-        self._programmed = 0
         self._analytic = 0
         self._coalesced = 0
         self._spot = 0
@@ -382,6 +329,8 @@ class ColumnarTelemetry:
         has_deadline = np.asarray([d is not None for d in cols[9]], dtype=bool)
         sla_arr = np.asarray(cols[3], dtype=object)
         sla_masks = {sla: sla_arr == sla for sla in sorted(set(cols[3]))}
+        node_arr = np.asarray(cols[2], dtype=object)
+        node_masks = {node: node_arr == node for node in sorted(set(cols[2]))}
         coalesced_n = sum(1 for c in cols[15] if c > 1)
         replayed_n = int(np.count_nonzero(cols[17]))
         if self.instrumentation is not None:
@@ -396,16 +345,19 @@ class ColumnarTelemetry:
                 latency=latency,
                 missed=missed,
                 sla_masks=sla_masks,
+                node_masks=node_masks,
                 coalesced_n=coalesced_n,
                 replayed_n=replayed_n,
             )
-        self._all.add(images, energy, latency, has_deadline, missed)
-        for sla, mask in sla_masks.items():
-            self._by_sla.setdefault(sla, _Fold()).add(
-                images[mask], energy[mask], latency[mask], has_deadline[mask], missed[mask]
-            )
-        self._affinity += int(np.count_nonzero(cols[11]))
-        self._programmed += int(np.count_nonzero(cols[12]))
+        columns = (
+            images, energy, latency, np.asarray(cols[8], dtype=np.float64),
+            has_deadline, missed, np.asarray(cols[11], dtype=bool),
+            np.asarray(cols[12], dtype=bool),
+        )
+        self._all.add(*columns)
+        for folds, masks in ((self._by_sla, sla_masks), (self._by_node, node_masks)):
+            for key, mask in masks.items():
+                folds.setdefault(key, _Fold()).add(*(column[mask] for column in columns))
         self._analytic += sum(1 for m in cols[14] if m == "analytic")
         self._coalesced += coalesced_n
         self._spot += int(np.count_nonzero(cols[16]))
@@ -531,8 +483,7 @@ class ColumnarTelemetry:
 
     def energy_per_image_j(self, sla: Optional[str] = None) -> float:
         """Modeled energy per image over (a class of) the full log."""
-        fold = self._totals(sla)
-        return fold.energy / fold.images if fold.images else 0.0
+        return self._totals(sla).energy_per_image_j
 
     def mean_latency_s(self, sla: Optional[str] = None) -> float:
         """Mean modeled request latency over (a class of) the full log."""
@@ -548,10 +499,25 @@ class ColumnarTelemetry:
             "energy_j": fold.energy,
             "mean_latency_s": fold.mean_latency_s,
             "deadline_miss_rate": fold.miss_rate,
-            "affinity_hit_rate": (self._affinity / count if count else 0.0),
-            "programmed_dispatches": float(self._programmed),
+            "affinity_hit_rate": (fold.affinity / count if count else 0.0),
+            "programmed_dispatches": float(fold.programmed),
             "analytic_requests": float(self._analytic),
             "coalesced_requests": float(self._coalesced),
             "spot_checked_requests": float(self._spot),
             "replayed_requests": float(self._replayed),
+        }
+
+    def node_summary(self, node_id: str) -> Dict[str, float]:
+        """Flat aggregates of one node's rows (its dispatch history)."""
+        self._flush()
+        fold = self._by_node.get(node_id) or _Fold()
+        return {
+            "dispatches": float(fold.count),
+            "images": float(fold.images),
+            "energy_j": fold.energy,
+            "energy_per_image_j": fold.energy_per_image_j,
+            "busy_s": fold.busy,
+            "deadline_misses": float(fold.missed),
+            "affinity_hits": float(fold.affinity),
+            "programmed_dispatches": float(fold.programmed),
         }

@@ -61,7 +61,6 @@ class _StoreEntry:
     """One digest's segment plus its pin count."""
 
     segment: Optional[shared_memory.SharedMemory]
-    array: np.ndarray
     ref: TensorRef
     pins: int = 0
 
@@ -115,11 +114,9 @@ class TensorStore:
                 inline=array,
             )
             self.inline_refs += 1
-            # Inline refs are still tracked (pin/array lookups work the
-            # same either way); they just own no segment.
-            self._entries[digest] = _StoreEntry(
-                segment=None, array=array, ref=ref, pins=1
-            )
+            # Inline refs are still tracked (pins work the same either
+            # way); they just own no segment.
+            self._entries[digest] = _StoreEntry(segment=None, ref=ref, pins=1)
             return ref
         segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
         self.segments_created += 1
@@ -132,17 +129,8 @@ class TensorStore:
             dtype=str(array.dtype),
             shm_name=segment.name,
         )
-        self._entries[digest] = _StoreEntry(
-            segment=segment, array=array, ref=ref, pins=1
-        )
+        self._entries[digest] = _StoreEntry(segment=segment, ref=ref, pins=1)
         return ref
-
-    def array(self, digest: str) -> np.ndarray:
-        """The tensor published under a digest."""
-        entry = self._entries.get(digest)
-        if entry is None:
-            raise ConfigurationError(f"unknown tensor digest {digest!r}")
-        return entry.array
 
     def release(self, ref: TensorRef) -> None:
         """Unpin one ref; fully released entries become LRU-evictable."""

@@ -78,7 +78,8 @@ def _log_writer(config: WorkerConfig):
 
 
 def worker_main(config: WorkerConfig, conn) -> None:
-    """Serve one shard over a duplex pipe until Shutdown/EOF/crash drill.
+    """Serve one shard over a duplex pipe until Shutdown, a closed pipe or
+    the crash drill.
 
     Args:
         config: The worker's shard and drill settings.
@@ -126,10 +127,14 @@ def worker_main(config: WorkerConfig, conn) -> None:
         run.clear()
 
     log(f"online pid={os.getpid()} nodes={sorted(nodes)}")
-    conn.send([Hello(config.rank, os.getpid(), tuple(sorted(nodes)))])
     try:
+        replies = [Hello(config.rank, os.getpid(), tuple(sorted(nodes)))]
         while True:
+            # A send or receive on a pipe the coordinator closed (it may
+            # have declared this worker dead) ends the worker quietly.
             try:
+                if replies:
+                    conn.send(replies)
                 batch = conn.recv()
             except (EOFError, OSError):
                 log("pipe closed; exiting")
@@ -195,16 +200,18 @@ def worker_main(config: WorkerConfig, conn) -> None:
                         f"done, reader {reader.summary()}"
                     )
                 elif isinstance(message, Shutdown):
-                    if replies:
-                        conn.send(replies)
+                    try:
+                        if replies:
+                            conn.send(replies)
+                    except OSError:
+                        log("pipe closed; exiting")
+                        return
                     log("shutdown")
                     conn.close()
                     return
                 else:  # pragma: no cover - protocol misuse guard
                     raise RuntimeError(f"unknown fleet message {message!r}")
             complete(replies)
-            if replies:
-                conn.send(replies)
     except Exception as error:  # forward the failure, then die loudly
         log(f"fatal: {error}\n{traceback.format_exc()}")
         try:

@@ -637,10 +637,6 @@ class ObjectRouter:
                 span_id=span_id,
             )
             self.telemetry.record(trace)
-            node.telemetry.record(
-                trace.images, trace.compute_s, trace.energy_j, missed,
-                trace.affinity_hit, trace.programmed,
-            )
             result = ClusterResult(
                 trace=trace, sla=request.sla, predictions=request_predictions
             )

@@ -1,23 +1,35 @@
 """The frozen object trace log of the oracle router.
 
 :class:`ClusterTelemetry` keeps one :class:`~repro.cluster.telemetry.RequestTrace`
-per request and computes every aggregate with plain Python ``sum()`` folds
-— the reference :class:`~repro.cluster.telemetry.ColumnarTelemetry` must
-match bit for bit.  :meth:`ClusterTelemetry.fold_metrics` is the object
-path of the scrape-time metric fold, so an oracle router with a registry
-attached publishes the same ``cluster_*`` series the core does.
+per request and computes every aggregate with plain Python folds over the
+log — floats with :func:`left_fold`'s ``+=`` loop (the builtin ``sum()``
+of floats is compensated since Python 3.12, so it is no left fold), counts
+with ``sum()`` — and the reference
+:class:`~repro.cluster.telemetry.ColumnarTelemetry` must match bit for bit,
+fleet-wide, per SLA class and per node.
+:meth:`ClusterTelemetry.fold_metrics` is the object path of the
+scrape-time metric fold, so an oracle router with a registry attached
+publishes the same ``cluster_*`` series the core does.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.telemetry import RequestTrace
 
-__all__ = ["ClusterTelemetry"]
+__all__ = ["ClusterTelemetry", "left_fold"]
+
+
+def left_fold(values: Iterable[float]) -> float:
+    """``0.0 + v[0] + v[1] + ...``, one rounding per addition."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class ClusterTelemetry:
@@ -79,6 +91,7 @@ class ClusterTelemetry:
         cols = list(zip(*rows))
         arrival = np.asarray(cols[5], dtype=np.float64)
         sla_arr = np.asarray(cols[3], dtype=object)
+        node_arr = np.asarray(cols[2], dtype=object)
         self.instrumentation.fold_columns(
             cols,
             energy=np.asarray([t.energy_j for t in traces], dtype=np.float64),
@@ -87,6 +100,7 @@ class ClusterTelemetry:
             latency=np.asarray(cols[7], dtype=np.float64) - arrival,
             missed=np.asarray(cols[10], dtype=bool),
             sla_masks={sla: sla_arr == sla for sla in sorted(set(cols[3]))},
+            node_masks={node: node_arr == node for node in sorted(set(cols[2]))},
             coalesced_n=sum(t.coalesced > 1 for t in traces),
             replayed_n=sum(t.replayed for t in traces),
         )
@@ -141,7 +155,7 @@ class ClusterTelemetry:
 
     def total_energy_j(self) -> float:
         """Total modeled energy over the full log."""
-        return sum(trace.energy_j for trace in self.traces)
+        return left_fold(trace.energy_j for trace in self.traces)
 
     def traces_for(
         self, sla: Optional[str] = None, model_id: Optional[str] = None
@@ -171,7 +185,7 @@ class ClusterTelemetry:
         images = sum(trace.images for trace in traces)
         if not images:
             return 0.0
-        return sum(trace.energy_j for trace in traces) / images
+        return left_fold(trace.energy_j for trace in traces) / images
 
     def latency_quantiles_s(
         self,
@@ -198,7 +212,7 @@ class ClusterTelemetry:
         traces = self.traces_for(sla=sla)
         if not traces:
             return 0.0
-        return sum(trace.latency_s for trace in traces) / len(traces)
+        return left_fold(trace.latency_s for trace in traces) / len(traces)
 
     def summary(self) -> Dict[str, float]:
         """Flat fleet-wide aggregates for reports."""
@@ -206,7 +220,7 @@ class ClusterTelemetry:
         return {
             "requests": float(len(self.traces)),
             "images": float(images),
-            "energy_j": sum(trace.energy_j for trace in self.traces),
+            "energy_j": self.total_energy_j(),
             "mean_latency_s": self.mean_latency_s(),
             "deadline_miss_rate": self.deadline_miss_rate(),
             "affinity_hit_rate": (
@@ -229,4 +243,20 @@ class ClusterTelemetry:
             "replayed_requests": float(
                 sum(trace.replayed for trace in self.traces)
             ),
+        }
+
+    def node_summary(self, node_id: str) -> Dict[str, float]:
+        """One node's aggregates, folded over its traces in log order."""
+        traces = [trace for trace in self.traces if trace.node_id == node_id]
+        images = sum(trace.images for trace in traces)
+        energy = left_fold(trace.energy_j for trace in traces)
+        return {
+            "dispatches": float(len(traces)),
+            "images": float(images),
+            "energy_j": energy,
+            "energy_per_image_j": energy / images if images else 0.0,
+            "busy_s": left_fold(trace.compute_s for trace in traces),
+            "deadline_misses": float(sum(trace.deadline_missed for trace in traces)),
+            "affinity_hits": float(sum(trace.affinity_hit for trace in traces)),
+            "programmed_dispatches": float(sum(trace.programmed for trace in traces)),
         }

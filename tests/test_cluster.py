@@ -454,6 +454,23 @@ class TestRouterAccounting:
         assert summary["cluster"]["requests"] == 1.0
         assert set(summary["nodes"]) == {router.nodes[0].node_id}
 
+    def test_summary_carries_each_nodes_telemetry(self, trained):
+        """``router.summary()["nodes"][id]`` merges the node's telemetry
+        aggregates as ``telemetry_<key>`` (perfbench's replay report reads
+        ``telemetry_images`` and ``telemetry_dispatches`` from there)."""
+        dataset, model_a, _ = trained
+        router = _router({"a": model_a}, vdds=(0.9, 0.6))
+        for index in range(4):
+            router.submit("a", dataset.test_images[index : index + 2], sla=SLAClass.THROUGHPUT)
+        router.drain()
+        summary = router.summary()
+        assert sum(node["telemetry_images"] for node in summary["nodes"].values()) == 8.0
+        for node_id, node in summary["nodes"].items():
+            telemetry = router.telemetry.node_summary(node_id)
+            assert node["telemetry_images"] == telemetry["images"]
+            assert node["telemetry_dispatches"] == telemetry["dispatches"]
+            assert {f"telemetry_{key}" for key in telemetry} <= set(node)
+
     def test_context_manager_and_unknown_lookups(self, trained):
         dataset, model_a, _ = trained
         with _router({"a": model_a}, vdds=(0.9,)) as router:
@@ -692,10 +709,9 @@ class TestSchedulerHook:
             ClusterRouter, "_turbo_chunk",
             lambda self, *args: turbo_chunks.append(1) or plain_chunk(self, *args),
         )
-        warm = [node.telemetry.dispatches for node in nodes]
         stats = router.replay_trace(trace, pool, drain_every=32)
         assert stats["completed"] == 200.0
-        served = [node.telemetry.dispatches - w for node, w in zip(nodes, warm)]
+        served = [router.telemetry.node_summary(node.node_id)["dispatches"] for node in nodes]
         if override:
             # Turbo inlines the stock ranking, so the override forces the
             # per-request loop: one choose call per request.

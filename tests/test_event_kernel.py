@@ -12,8 +12,9 @@ scheduler, same fault plan, same drain cadence — and requires the
   flags), in their merged emission order,
 * the deadline-miss set,
 * request conservation (``completed == admitted``, no loss under faults),
-* node telemetry, spot-check counters and the shared forward-memo state
-  (hits, misses and LRU order — the kernel batches its LRU writes).
+* each node's telemetry aggregates (``node_summary``, folded from its own
+  rows on both sides), spot-check counters and the shared forward-memo
+  state (hits, misses and LRU order — the kernel batches its LRU writes).
 
 Hypothesis drives the workload space (poisson / diurnal / burst arrival
 processes, SLA mixes, binned fleets, fault plans, coalescing on and off,
@@ -24,11 +25,12 @@ per-PR CI matrix deselects them, tier-1 and the nightly tier run them.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from oracle import ObjectRouter
+from oracle import ClusterTelemetry, ObjectRouter
 
 from repro.cluster import (
     ClusterNode,
@@ -188,12 +190,9 @@ def _run(cnn, pool, trace, side, *, mode, vdds, binned, coalesce, fault,
         }
         for node in nodes:
             ledger = node.ledger()
-            tel = node.telemetry
             observed[f"node:{node.node_id}"] = (
                 ledger.total_cycles, ledger.total_energy_j,
-                tel.dispatches, tel.images, tel.busy_s, tel.energy_j,
-                tel.deadline_misses, tel.affinity_hits,
-                tel.ewma_image_latency_s, node.spot_checks,
+                router.telemetry.node_summary(node.node_id), node.spot_checks,
                 node.state.value,
             )
     finally:
@@ -418,7 +417,7 @@ def _serve_like_gateway(side, cnn, pool, batches, seed, mode):
         ledgers = {
             node.node_id: (
                 node.ledger().total_cycles, node.ledger().total_energy_j,
-                node.telemetry.summary(),
+                router.telemetry.node_summary(node.node_id),
             )
             for node in nodes
         }
@@ -551,7 +550,7 @@ class TestAggregateOnlyTelemetry:
                 "misses": [telemetry.deadline_miss_rate(sla.value) for sla in _SLAS],
                 "counts": [telemetry.request_count(sla.value) for sla in _SLAS],
                 "ledger": (router.ledger().total_cycles, router.ledger().total_energy_j),
-                "nodes": [node.telemetry.summary() for node in nodes],
+                "nodes": [telemetry.node_summary(node.node_id) for node in nodes],
                 "spans": [
                     (s.name, s.trace_id, s.start_virtual_s, s.end_virtual_s)
                     for s in tracer.spans
@@ -610,17 +609,20 @@ def _settled_row(draw, request_id):
     return row, draw(st.floats(1e-12, 1e-6))
 
 
-def _left_fold_reference(rows, energies, sla):
-    """Aggregates of (a class of) the rows with plain left-to-right ``+=``."""
-    count = images = eligible = missed = 0
-    energy = latency = 0.0
+def _left_fold_reference(rows, energies, sla, node=None):
+    """Aggregates of (a class's or a node's) rows with plain left-to-right ``+=``."""
+    count = images = eligible = missed = affinity = programmed = 0
+    energy = latency = busy = 0.0
     for row, row_energy in zip(rows, energies):
-        if sla is not None and row[3] != sla:
+        if (sla is not None and row[3] != sla) or (node is not None and row[2] != node):
             continue
         count += 1
         images += row[4]
         energy += row_energy
         latency += row[7] - row[5]
+        busy += row[8]
+        affinity += row[11]
+        programmed += row[12]
         if row[9] is not None:
             eligible += 1
             missed += row[10]
@@ -631,6 +633,10 @@ def _left_fold_reference(rows, energies, sla):
         "energy_per_image_j": energy / images if images else 0.0,
         "mean_latency_s": latency / count if count else 0.0,
         "images": images,
+        "busy_s": busy,
+        "deadline_misses": missed,
+        "affinity_hits": affinity,
+        "programmed_dispatches": programmed,
     }
 
 
@@ -640,13 +646,13 @@ class TestOneTelemetryFold:
     def test_every_read_equals_a_left_fold_of_all_rows(self, retain_traces, data, monkeypatch):
         """Reads interleaved with row recording (single rows and chunks)
         and fold-and-drop boundaries equal a ``+=`` fold over every row so
-        far, bit for bit, in both retention modes; the registry the same
-        flush feeds counts every row and image."""
+        far (or over each node's rows), bit for bit, in both retention
+        modes; the registry the same flush feeds counts every row and
+        image."""
         monkeypatch.setattr(ColumnarTelemetry, "_AGG_FLUSH_ROWS", 4)
         telemetry = ColumnarTelemetry(window=8, retain_traces=retain_traces)
         registry = MetricsRegistry()
         telemetry.instrumentation = ClusterInstrumentation(registry)
-        telemetry.instrumentation.node_ids = ("n0", "n1")
         rows, energies = [], []
 
         def check():
@@ -678,6 +684,18 @@ class TestOneTelemetryFold:
                 ("cluster_images_total", want["images"]),
             ):
                 assert sum(s["value"] for s in metrics[name]["samples"]) == want_total
+            for node in ("n0", "n1"):
+                want = _left_fold_reference(rows, energies, None, node)
+                assert telemetry.node_summary(node) == {
+                    "dispatches": float(want["requests"]),
+                    "images": float(want["images"]),
+                    "energy_j": want["energy_j"],
+                    "energy_per_image_j": want["energy_per_image_j"],
+                    "busy_s": want["busy_s"],
+                    "deadline_misses": float(want["deadline_misses"]),
+                    "affinity_hits": float(want["affinity_hits"]),
+                    "programmed_dispatches": float(want["programmed_dispatches"]),
+                }
 
         for _ in range(data.draw(st.integers(1, 12), label="steps")):
             step = data.draw(st.sampled_from(("row", "chunk", "read", "fold")))
@@ -702,6 +720,36 @@ class TestOneTelemetryFold:
             else:
                 telemetry.maybe_fold()
         check()
+
+    def test_oracle_float_aggregates_are_left_folds(self):
+        """The oracle log and the columnar one both fold floats left to
+        right.  Since Python 3.12 the builtin ``sum()`` of floats is
+        compensated: over these values it keeps the 1e-16 terms a ``+=``
+        loop rounds away, so an oracle summing with ``sum()`` would stop
+        matching the core on those interpreters."""
+        values = [1.0] + [1e-16] * 10
+        want = 0.0
+        for value in values:
+            want += value
+        assert want != math.fsum(values)  # the values are adversarial
+        oracle, core = ClusterTelemetry(), ColumnarTelemetry()
+        for request_id, value in enumerate(values):
+            trace = RequestTrace(
+                request_id, "cnn", "n0", "throughput", 1, 0.0, 0.0, value, value,
+                value, None, False, True, False, True,
+            )
+            oracle.record(trace)
+            core.record_row(
+                tuple(getattr(trace, f) for f in _TRACE_FIELDS if f not in ("energy_j", "span_id")),
+                trace.energy_j,
+            )
+        mean = want / len(values)
+        for telemetry in (oracle, core):
+            assert telemetry.total_energy_j() == want
+            assert telemetry.energy_per_image_j() == mean
+            assert telemetry.mean_latency_s() == mean
+            summary = telemetry.summary()
+            assert (summary["energy_j"], summary["mean_latency_s"]) == (want, mean)
 
     def test_aggregate_only_replay_reads_every_class_like_a_retaining_one(
         self, trained, pool, monkeypatch

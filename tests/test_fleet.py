@@ -48,6 +48,7 @@ from repro.fleet.messages import (
     SyncReply,
     TensorRef,
 )
+from repro.fleet.shm import attach_readonly
 from repro.obs import MetricsRegistry
 from repro.utils.validation import check_ledger_conservation
 
@@ -237,9 +238,9 @@ class TestTensorTransport:
             for ref in refs:
                 store.release(ref)
             assert len(store) == 2  # down to capacity, LRU first
-            assert np.all(store.array("d3") == 3)  # newest survives
-            with pytest.raises(ConfigurationError, match="unknown tensor"):
-                store.array("d0")
+            assert np.all(TensorReader().fetch(refs[3]) == 3)  # newest survives
+            with pytest.raises(FileNotFoundError):
+                attach_readonly(refs[0].shm_name)  # oldest segment unlinked
 
     def test_put_after_close_refuses(self):
         store = TensorStore()
@@ -701,6 +702,31 @@ class TestWorkerCrash:
             assert fleet.queue_depth() == len(ids) - len(results)
             for result in results:
                 assert np.all(np.asarray(result.predictions) >= 0)
+
+    def test_worker_exits_quietly_when_the_coordinator_closed_the_pipe(
+        self, tmp_path, monkeypatch
+    ):
+        # A coordinator that declared the worker dead closes its end before
+        # reading the worker's Hello; the worker must log and return, not
+        # die on the Hello's send.
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        parent, child = multiprocessing.Pipe()
+        parent.close()
+        log_path = tmp_path / "worker.log"
+        config = WorkerConfig(
+            rank=0,
+            specs=tuple(node.spec() for node in make_nodes(count=1)),
+            log_path=str(log_path),
+            hard_exit=False,
+        )
+        worker = threading.Thread(target=worker_main, args=(config, child), daemon=True)
+        worker.start()
+        worker.join(timeout=30.0)
+        child.close()
+        assert not worker.is_alive()
+        assert escaped == []
+        assert "pipe closed; exiting" in log_path.read_text()
 
     def test_crashed_fleet_predictions_match_oracle(self, trained):
         dataset, model = trained
