@@ -20,7 +20,8 @@ The acceptance gates of the fleet-workers PR:
   fused golden forwards, run in real spawn processes, must give each
   request what it gets alone;
 * every admitted request completes on both sides (request conservation);
-* the worker-vs-shadow barrier audit passes after the replay;
+* the sync barrier after the replay audits every node (each worker
+  answered it with nothing in flight);
 * at full fidelity on a multi-core box, fleet requests/sec >=
   ``SPEEDUP_GATE`` x the single-process run.  The speedup gate is
   full-mode only (smoke traces are too short to amortise worker boot)

@@ -261,9 +261,10 @@ class NodeSpec:
     and mutable ledgers.  The spec is the *recipe* side of that
     split: everything needed to build an equivalent node from scratch, and
     nothing that is runtime state.  ``node.spec()`` captures it,
-    :meth:`build` replays it — the idiom :mod:`repro.fleet` uses to shard
-    one fleet description across spawn-context worker processes while the
-    coordinator keeps its own replicas.
+    :meth:`build` replays it — the idiom :mod:`repro.fleet` uses to build
+    the coordinator's charge-only replicas from one fleet description and
+    to hand each spawn-context worker its shard (a worker builds no node:
+    it only reads the shard's node ids and batch sizes).
 
     ``config`` is the node's *resolved* configuration: precision and the
     variation-bin derate are already baked in (exactly what the node

@@ -11,9 +11,10 @@ The division of labour:
   on a worker, and is bit-identical to a single-process
   :class:`~repro.cluster.router.ClusterRouter` over the same fleet.
 * **Workers** — the numpy forwards, in parallel: one golden forward per
-  model over each run of dispatches, replayed on the same charge-only
-  replicas.  Completions carry only prediction tensors, written in place
-  into the placeholder arrays the shadows handed out.
+  model over each run of dispatches, over the models the coordinator
+  registered and nothing else.  Completions carry only prediction
+  tensors, written in place into the placeholder arrays the shadows
+  handed out.
 
 Message flow is work-conserving and batched: a worker with no sent group
 awaiting its completion gets a new group at once, a busy one up to
@@ -25,15 +26,17 @@ the digest-keyed shared-memory :class:`~repro.fleet.shm.TensorStore`.
 the router's own backlog-replay machinery (PR 5) then re-places queued
 requests onto survivors, flagged ``replayed`` — and every unacknowledged
 in-flight group is recovered locally by the workers' charge-free fused
-forward (bit-identical predictions, no double accounting:
-those groups' ledger charges and traces were already recorded by the
-shadow at dispatch time).
+forward over the coordinator's own model registry (bit-identical
+predictions, no double accounting: those groups' ledger charges and
+traces were already recorded by the shadow at dispatch time).
 
-**Sync barriers.**  :meth:`sync` flushes, waits for all in-flight work,
-collects each live worker's ledgers and ``repro.obs`` snapshot, merges
-them in stable worker-rank order, and cross-checks every worker ledger
-against its shadow to equality — a live fidelity audit of the whole
-charge-mirror design.
+**Delivery audit.**  Every completion must answer exactly one in-flight
+group, with one prediction array per part and each array as long as its
+part, or :class:`FleetFidelityError` is raised as it lands; a dispatch
+that never reaches its worker fails the next wait with
+:class:`FleetError`.  :meth:`sync` flushes, waits for all in-flight work,
+and merges each live worker's ``repro.obs`` snapshot in stable
+worker-rank order.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cluster.node import ClusterNode, NodeSpec, NodeState
 from repro.errors import ConfigurationError
 from repro.fleet.messages import (
@@ -52,7 +57,6 @@ from repro.fleet.messages import (
     Dispatch,
     Hello,
     RegisterModel,
-    Retune,
     Shutdown,
     Sync,
     SyncReply,
@@ -73,7 +77,7 @@ class FleetError(RuntimeError):
 
 
 class FleetFidelityError(FleetError):
-    """A worker's ledger diverged from its shadow at a sync barrier."""
+    """A worker's completion does not answer exactly one in-flight group."""
 
 
 @dataclass
@@ -109,10 +113,10 @@ class FleetCluster:
     (``submit`` / ``drain`` / ``result`` / ``queue_depth`` / ``ledger`` /
     ``replay_trace`` / ``shutdown`` ...); anything else delegates to the
     internal coordinator router, which *is* a ``ClusterRouter`` over the
-    shadow fleet.  Workers replay the dispatches on the same replicas and
-    fuse their golden forwards, so predictions are exact whatever mode the
-    specs name; read-disturb chips are refused (no replica runs their
-    engine-bound forward).
+    shadow fleet.  Workers run fused golden forwards of the dispatched
+    images, so predictions are exact whatever mode the specs name;
+    read-disturb chips are refused (nothing runs their engine-bound
+    forward).
 
     Args:
         nodes: The fleet description — :class:`ClusterNode` instances
@@ -199,8 +203,8 @@ class FleetCluster:
             shadow.node_id: shadow for shadow in shadows
         }
         self._router = FleetRouter(shadows, self, **router_kwargs)
-        for shadow in shadows:
-            shadow.retune_hook = self._queue_retune
+        #: model id -> model, for forwards on the coordinator (recovery).
+        self._models: Dict[str, object] = {}
         self._store = TensorStore(inline_bytes=inline_bytes)
         self._next_seq = 0
         self._next_barrier = 0
@@ -297,9 +301,10 @@ class FleetCluster:
     def register_model(
         self, model_id: str, model, allow_transient: bool = False
     ) -> None:
-        """Register a model on every shadow and every worker replica."""
+        """Register a model on every shadow and send it to every worker."""
         self._router.register_model(model_id, model, allow_transient=allow_transient)
-        message = RegisterModel(model_id, model, allow_transient)
+        self._models[model_id] = model
+        message = RegisterModel(model_id, model)
         for handle in self._handles:
             if handle.alive:
                 handle.outbox.append(message)
@@ -307,31 +312,23 @@ class FleetCluster:
     # ------------------------------------------------------------------ #
     # Dispatch shipping (called from FleetRouter._dispatch_direct)
     # ------------------------------------------------------------------ #
-    def _queue_retune(self, node_id: str, vdd: float) -> None:
-        handle = self._handles[self._rank_of[node_id]]
-        if handle.alive:
-            handle.outbox.append(Retune(node_id, vdd))
-
     def _on_group_dispatched(self, node_id: str, request_ids: List[int]) -> None:
         shadow = self._shadow_by_id[node_id]
         pending = shadow.take_pending()
         if pending is None:  # pragma: no cover - defensive
             return
         request_ids = tuple(request_ids)
-        refs: List[TensorRef] = []
-        digests: List[Optional[str]] = []
-        for images, digest in pending.parts:
-            key = (
-                digest
-                if digest is not None
-                else ClusterNode._content_digest(images)
+        refs = tuple(
+            self._store.put(
+                digest if digest is not None else ClusterNode._content_digest(images),
+                images,
             )
-            refs.append(self._store.put(key, images))
-            digests.append(digest)
+            for images, digest in pending.parts
+        )
         group = _InflightGroup(
             seq=self._next_seq,
             request_ids=request_ids,
-            refs=tuple(refs),
+            refs=refs,
             pending=pending,
         )
         self._next_seq += 1
@@ -343,16 +340,7 @@ class FleetCluster:
             self._recover(handle, [group])
             return
         handle.inflight[group.seq] = group
-        handle.outbox.append(
-            Dispatch(
-                seq=group.seq,
-                node_id=node_id,
-                model_id=pending.model_id,
-                parts=group.refs,
-                digests=tuple(digests),
-                request_ids=request_ids,
-            )
-        )
+        handle.outbox.append(Dispatch(group.seq, pending.model_id, refs))
         self._poll_all()
         # Work-conserving: when the oldest in-flight group is still in the
         # outbox, the worker has nothing to do, so it gets the groups now.
@@ -416,9 +404,20 @@ class FleetCluster:
     def _handle_message(self, handle: _WorkerHandle, message) -> None:
         if isinstance(message, Completion):
             group = handle.inflight.pop(message.seq, None)
-            if group is None:  # pragma: no cover - defensive
-                return
-            for target, predictions in zip(group.pending.targets, message.predictions):
+            if group is None:
+                raise FleetFidelityError(
+                    f"worker {handle.rank} completed seq {message.seq}, "
+                    "which is not in flight"
+                )
+            targets = group.pending.targets
+            shapes = [np.shape(predictions) for predictions in message.predictions]
+            if shapes != [target.shape for target in targets]:
+                raise FleetFidelityError(
+                    f"worker {handle.rank} answered seq {message.seq} with "
+                    f"prediction shapes {shapes}, expected "
+                    f"{[target.shape for target in targets]}"
+                )
+            for target, predictions in zip(targets, message.predictions):
                 target[:] = predictions
             self._settle_group(group)
         elif isinstance(message, SyncReply):
@@ -470,7 +469,7 @@ class FleetCluster:
     def _recover(self, handle: _WorkerHandle, groups: List[_InflightGroup]) -> None:
         """Fill a dead worker's in-flight groups, one forward per model."""
         step = min(spec.max_batch_size for spec in handle.config.specs)
-        forward_into([group.pending for group in groups], step)
+        forward_into([group.pending for group in groups], self._models, step)
         for group in groups:
             self.locally_recovered += len(group.request_ids)
             self._settle_group(group)
@@ -499,18 +498,18 @@ class FleetCluster:
                     )
 
     def sync(self) -> Dict[str, object]:
-        """Full barrier: drain in-flight work, merge and audit worker state.
+        """Full barrier: drain in-flight work, then merge worker metrics.
 
-        Collects each live worker's per-node ledgers and metrics
-        snapshot, folds the snapshots into :meth:`metrics_snapshot`'s
-        cache in stable rank order, and cross-checks every worker ledger
-        against its shadow — total cycles and array accesses to integer
-        equality, total energy to float equality (the exact-charge
-        contract is bit-identity, and the tests hold it there).
+        Waits until every shipped group has its completion (each one
+        checked on arrival against its in-flight group), then collects
+        each live worker's metrics snapshot and folds the snapshots into
+        :meth:`metrics_snapshot`'s cache in stable rank order.  The
+        shadows' ledger is the only one, so nothing is re-derived here.
 
         Returns:
             A report: barrier id, live ranks, per-rank dispatch-group
-            counts, and the audited node count.
+            counts, and the audited node count — the nodes of every live
+            rank that answered the barrier with nothing in flight.
         """
         self._await_predictions()
         barrier_id = self._next_barrier
@@ -540,21 +539,9 @@ class FleetCluster:
                 )
             self._worker_metrics[rank] = reply.metrics
             groups[rank] = reply.dispatch_groups
-            for node_id, ledger in reply.ledgers.items():
-                shadow_ledger = self._shadow_by_id[node_id].ledger()
-                if (
-                    ledger.total_cycles != shadow_ledger.total_cycles
-                    or ledger.array_accesses != shadow_ledger.array_accesses
-                    or ledger.total_energy_j != shadow_ledger.total_energy_j
-                ):
-                    raise FleetFidelityError(
-                        f"worker {rank} ledger for node {node_id!r} diverged "
-                        f"from its shadow: cycles "
-                        f"{ledger.total_cycles} vs {shadow_ledger.total_cycles}, "
-                        f"energy {ledger.total_energy_j!r} vs "
-                        f"{shadow_ledger.total_energy_j!r}"
-                    )
-                audited += 1
+            handle = self._handles[rank]
+            if handle.alive and not handle.inflight:
+                audited += len(handle.config.specs)
         return {
             "barrier_id": barrier_id,
             "live_workers": self.live_workers,
@@ -620,21 +607,13 @@ class FleetCluster:
     # Accounting / observability
     # ------------------------------------------------------------------ #
     def ledger(self):
-        """The authoritative cluster ledger (the shadows' merge).
+        """The cluster ledger: the shadows' merge, the fleet's only one.
 
-        Identical to the single-process oracle's by construction; the
-        worker replicas' ledgers are audited against the shadows at every
-        :meth:`sync` instead of being merged here — a dead worker's nodes
-        therefore never leave a hole in the accounting.
+        Identical to the single-process oracle's by construction.  Workers
+        keep no ledger, so a dead worker's nodes never leave a hole in the
+        accounting.
         """
         return self._router.ledger()
-
-    def worker_ledgers(self) -> Dict[int, Dict[str, object]]:
-        """Per-rank node ledgers from the most recent :meth:`sync`."""
-        return {
-            rank: dict(reply.ledgers)
-            for rank, reply in sorted(self._sync_replies.items())
-        }
 
     def metrics_snapshot(self) -> dict:
         """One merged ``repro.obs`` snapshot: coordinator + every worker.

@@ -5,13 +5,16 @@ pickled over :mod:`multiprocessing` duplex pipes, always as *lists* (one
 ``send`` per batch), so a flush amortises the pickling and wakeup cost of
 a pipe round-trip over many dispatch groups.
 
-Two invariants the whole design leans on:
+Three invariants the whole design leans on:
 
-* **Per-pipe FIFO is per-node order.**  Every message to a worker travels
-  on that worker's single pipe and is processed sequentially, so the
-  dispatch/retune sequence a worker applies to one of its nodes is exactly
-  the sequence the coordinator's shadow replica charged — which is what
-  makes the worker-side ledgers bit-identical to the shadows'.
+* **Per-pipe FIFO.**  Every message to a worker travels on that worker's
+  single pipe and is processed in order, so a model's
+  :class:`RegisterModel` reaches the worker before any dispatch of it.
+* **A completion names its group.**  Every :class:`Dispatch` carries a
+  ``seq`` that the coordinator holds in flight until the one
+  :class:`Completion` with that ``seq`` lands, so predictions fill the
+  right placeholders whatever order a worker answers in; the
+  coordinator checks each completion against its in-flight group.
 * **Activation tensors travel by reference.**  A :class:`TensorRef` names
   a digest-keyed :class:`multiprocessing.shared_memory.SharedMemory`
   block (or carries a small array inline); the bytes cross the process
@@ -22,7 +25,7 @@ Two invariants the whole design leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +34,6 @@ __all__ = [
     "Hello",
     "RegisterModel",
     "Dispatch",
-    "Retune",
     "Sync",
     "Shutdown",
     "Completion",
@@ -67,45 +69,28 @@ class Hello:
 
 @dataclass(frozen=True)
 class RegisterModel:
-    """Register a model on every node the worker owns."""
+    """Make a model available to the worker's forwards."""
 
     model_id: str
     model: object
-    allow_transient: bool = False
 
 
 @dataclass(frozen=True)
 class Dispatch:
-    """Execute one dispatch group (one request, or a coalesced run).
+    """Forward one dispatch group (one request, or a coalesced run).
 
-    ``parts``/``digests``/``request_ids`` are parallel, in queue order —
-    the same order the coordinator's shadow charged the group in.
+    ``parts`` holds one tensor per request, in the order the
+    coordinator's shadow charged the group in.
     """
 
     seq: int
-    node_id: str
     model_id: str
     parts: Tuple[TensorRef, ...]
-    digests: Tuple[Optional[str], ...]
-    request_ids: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Retune:
-    """Mirror a shadow node's DVFS actuation onto the worker's replica.
-
-    Ordered between dispatches on the pipe, so the worker's chip rebuild
-    (and the re-programming charges that follow) lands at exactly the
-    point in the node's dispatch sequence where the shadow's did.
-    """
-
-    node_id: str
-    vdd: float
 
 
 @dataclass(frozen=True)
 class Sync:
-    """Barrier request: reply with ledgers + metrics once all prior work ran."""
+    """Barrier request: reply with metrics once all prior work ran."""
 
     barrier_id: int
 
@@ -125,17 +110,15 @@ class Completion:
 
 @dataclass(frozen=True)
 class SyncReply:
-    """Barrier answer: the worker's accounting state at the barrier.
+    """Barrier answer: the worker's counters at the barrier.
 
-    ``ledgers`` maps node id to the node's lifetime
-    :class:`~repro.core.stats.MacroStatistics`; ``metrics`` is a
-    ``repro.obs`` registry snapshot (merged coordinator-side in stable
-    worker-rank order).
+    ``metrics`` is a ``repro.obs`` registry snapshot (merged
+    coordinator-side in stable worker-rank order); ``dispatch_groups``
+    counts the dispatches the worker has taken.
     """
 
     barrier_id: int
     rank: int
-    ledgers: Dict[str, object]
     metrics: dict
     dispatch_groups: int
 

@@ -1,16 +1,13 @@
-"""The worker process: charge-only replicas, fused forwards, no scheduling.
+"""The worker process: fused forwards over registered models, nothing else.
 
-``worker_main`` is the spawn-context entry point.  A worker builds its
-shard as the coordinator's own :class:`~repro.fleet.shadow.ShadowNode`
-replicas (from the pickled :class:`~repro.cluster.node.NodeSpec`
-recipes), resolves activation tensors through a :class:`~repro.fleet.
-shm.TensorReader`, and charges each dispatch group exactly as the
-coordinator's shadow did — same class, same order, same batch formation
-— so its ledgers are bit-identical to the shadows' and the sync-barrier
-cross-check can hold them to equality.  Each run of consecutive dispatches
-gets one golden forward per model (:func:`~repro.fleet.shadow.
-forward_into`) and its completions, in ``seq`` order, before any later
-reply.
+``worker_main`` is the spawn-context entry point.  A worker builds no node,
+chip or engine: the coordinator's :class:`~repro.fleet.shadow.ShadowNode`
+replicas keep the fleet's one ledger, so a worker keeps only the models
+that :class:`~repro.fleet.messages.RegisterModel` delivers.  It resolves
+activation tensors through a :class:`~repro.fleet.shm.TensorReader` and
+answers each run of consecutive dispatches with one golden forward per
+model (:func:`~repro.fleet.shadow.forward_into`) and the run's
+completions, in ``seq`` order, before any later reply.
 
 The loop is single-threaded and message-driven (the event-style,
 non-threaded concurrency shape): receive one batch of messages, process
@@ -19,17 +16,20 @@ but the pipe, and it never makes a scheduling decision.
 
 ``crash_after`` is the deterministic fault hook of the crash drills: the
 worker dies (hard ``os._exit`` from a process, soft pipe-close from a
-thread transport) *after* charging that many dispatch groups and
-*before* acknowledging the next — exactly the mid-batch window the
-coordinator's recovery has to cover.
+thread transport) *after* taking that many dispatch groups and *before*
+acknowledging the next — exactly the mid-batch window the coordinator's
+recovery has to cover.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import traceback
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.cluster.node import NodeSpec
 from repro.fleet.messages import (
@@ -37,13 +37,12 @@ from repro.fleet.messages import (
     Dispatch,
     Hello,
     RegisterModel,
-    Retune,
     Shutdown,
     Sync,
     SyncReply,
     WorkerFailure,
 )
-from repro.fleet.shadow import forward_into, shadows_from_specs
+from repro.fleet.shadow import PendingGroup, forward_into
 from repro.fleet.shm import TensorReader
 from repro.obs import MetricsRegistry
 
@@ -57,7 +56,7 @@ class WorkerConfig:
     rank: int
     specs: Tuple[NodeSpec, ...]
     log_path: Optional[str] = None
-    #: Crash drill: die after charging this many dispatch groups,
+    #: Crash drill: die after taking this many dispatch groups,
     #: before acknowledging the next (``None`` = never).
     crash_after: Optional[int] = None
     #: ``True``: die with ``os._exit`` (spawn transport).  ``False``:
@@ -66,15 +65,14 @@ class WorkerConfig:
     hard_exit: bool = True
 
 
-def _log_writer(config: WorkerConfig):
+@contextlib.contextmanager
+def _log_writer(config: WorkerConfig) -> Iterator:
+    """A line logger for the worker's log file, closed on the way out."""
     if config.log_path is None:
-        return lambda line: None
-    handle = open(config.log_path, "a", encoding="utf-8", buffering=1)
-
-    def write(line: str) -> None:
-        handle.write(f"[worker {config.rank}] {line}\n")
-
-    return write
+        yield lambda line: None
+        return
+    with open(config.log_path, "a", encoding="utf-8", buffering=1) as handle:
+        yield lambda line: handle.write(f"[worker {config.rank}] {line}\n")
 
 
 def worker_main(config: WorkerConfig, conn) -> None:
@@ -85,8 +83,14 @@ def worker_main(config: WorkerConfig, conn) -> None:
         config: The worker's shard and drill settings.
         conn: The child end of a :func:`multiprocessing.Pipe`.
     """
-    log = _log_writer(config)
-    nodes = {node.node_id: node for node in shadows_from_specs(config.specs)}
+    with _log_writer(config) as log:
+        _serve(config, conn, log)
+
+
+def _serve(config: WorkerConfig, conn, log) -> None:
+    """The worker loop: one batch of replies per batch of messages."""
+    models: Dict[str, object] = {}
+    node_ids = tuple(sorted(spec.node_id for spec in config.specs))
     step = min(spec.max_batch_size for spec in config.specs)
     reader = TensorReader()
     metrics = MetricsRegistry()
@@ -118,17 +122,17 @@ def worker_main(config: WorkerConfig, conn) -> None:
     )
 
     groups_done = 0
-    run = []  # (seq, pending group) of the current run of dispatches
+    run: List[Tuple[int, PendingGroup]] = []  # the current run of dispatches
 
     def complete(replies) -> None:
         """Forward the run's groups and append their completions."""
-        forwards_counter.inc(forward_into([group for _, group in run], step))
+        forwards_counter.inc(forward_into([group for _, group in run], models, step))
         replies.extend(Completion(seq, tuple(group.targets)) for seq, group in run)
         run.clear()
 
-    log(f"online pid={os.getpid()} nodes={sorted(nodes)}")
+    log(f"online pid={os.getpid()} nodes={list(node_ids)}")
     try:
-        replies = [Hello(config.rank, os.getpid(), tuple(sorted(nodes)))]
+        replies = [Hello(config.rank, os.getpid(), node_ids)]
         while True:
             # A send or receive on a pipe the coordinator closed (it may
             # have declared this worker dead) ends the worker quietly.
@@ -154,7 +158,6 @@ def worker_main(config: WorkerConfig, conn) -> None:
                             os._exit(3)
                         conn.close()
                         return
-                    node = nodes[message.node_id]
                     hits_before, misses_before = reader.hits, reader.misses
                     arrays = [reader.fetch(ref) for ref in message.parts]
                     tensor_fetches.labels(rank=str(config.rank), outcome="hit").inc(
@@ -163,34 +166,24 @@ def worker_main(config: WorkerConfig, conn) -> None:
                     tensor_fetches.labels(rank=str(config.rank), outcome="miss").inc(
                         reader.misses - misses_before
                     )
-                    node.execute_group(message.model_id, list(zip(arrays, message.digests)))
-                    run.append((message.seq, node.take_pending()))
+                    images = sum(a.shape[0] for a in arrays)
+                    grouped = np.empty(images, dtype=np.int64)
+                    parts = [(a, None) for a in arrays]
+                    run.append((message.seq, PendingGroup(message.model_id, parts, grouped)))
                     groups_done += 1
                     groups_counter.inc()
-                    requests_counter.inc(len(message.request_ids))
-                    images_counter.inc(sum(a.shape[0] for a in arrays))
+                    requests_counter.inc(len(arrays))
+                    images_counter.inc(images)
                     continue
                 complete(replies)
                 if isinstance(message, RegisterModel):
-                    for node in nodes.values():
-                        node.register_model(
-                            message.model_id,
-                            message.model,
-                            allow_transient=message.allow_transient,
-                        )
+                    models[message.model_id] = message.model
                     log(f"registered model {message.model_id!r}")
-                elif isinstance(message, Retune):
-                    nodes[message.node_id].retune(message.vdd)
-                    log(f"retuned {message.node_id} to {message.vdd} V")
                 elif isinstance(message, Sync):
                     replies.append(
                         SyncReply(
                             barrier_id=message.barrier_id,
                             rank=config.rank,
-                            ledgers={
-                                node_id: node.ledger()
-                                for node_id, node in nodes.items()
-                            },
                             metrics=metrics.snapshot(),
                             dispatch_groups=groups_done,
                         )

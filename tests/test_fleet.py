@@ -6,17 +6,21 @@ run over worker shards must produce the *same* ledger totals, deadline
 :class:`~repro.cluster.router.ClusterRouter` over an identical fleet and
 workload — the fidelity contract the whole shadow-charge design exists to
 keep.  Around it: the NodeSpec recipes, the shared-memory tensor
-transport, the order-invariant metrics merge, the sync-barrier ledger
-audit, and the crash drills (worker death mid-batch must conserve every
-admitted request).
+transport, the order-invariant metrics merge, the delivery audit (a
+tampered pipe — a duplicated, dropped or unknown message, or a short
+completion — must raise, not go unnoticed), and the crash drills (worker
+death mid-batch must conserve every admitted request).
 
 Thread-transport fleets run the full message protocol in-process (fast,
 coverage-visible); a bounded set of spawn-transport tests exercises real
 processes, real shared memory and the hard-exit crash drill.
 """
 
+import gc
 import multiprocessing
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -30,11 +34,11 @@ from repro.errors import ConfigurationError
 from repro.fleet import (
     FleetCluster,
     FleetError,
+    FleetFidelityError,
     ShadowNode,
     TensorReader,
     TensorStore,
     WorkerConfig,
-    shadows_from_specs,
     worker_main,
 )
 from repro.fleet.messages import (
@@ -42,7 +46,6 @@ from repro.fleet.messages import (
     Dispatch,
     Hello,
     RegisterModel,
-    Retune,
     Shutdown,
     Sync,
     SyncReply,
@@ -154,12 +157,6 @@ class TestNodeSpec:
             node.execute("m", dataset.test_images[:3])
         assert shadow.ledger().total_cycles == real.ledger().total_cycles
         assert shadow.ledger().total_energy_j == real.ledger().total_energy_j
-
-    def test_shadows_from_specs_builds_the_whole_fleet(self):
-        specs = [node.spec() for node in make_nodes(count=3)]
-        shadows = shadows_from_specs(specs)
-        assert [s.node_id for s in shadows] == [s.node_id for s in specs]
-        assert all(isinstance(s, ShadowNode) for s in shadows)
 
 
 # ---------------------------------------------------------------------- #
@@ -336,23 +333,26 @@ class TestFleetFidelity:
             assert_matches_oracle(fleet, oracle, dataset.test_images, seed=5)
             oracle.shutdown()
 
-    def test_retune_forwards_and_stays_audited(self, trained):
+    def test_retune_matches_a_router_retuned_at_the_same_point(self, trained):
+        # A retune rebuilds the shadow's chip, so the re-programming
+        # charges that follow land in the coordinator's ledger; workers
+        # keep no ledger, so nothing about the retune is shipped.
         dataset, model = trained
         with FleetCluster(
             make_nodes(), workers=2, transport="thread"
         ) as fleet:
             fleet.register_model("cnn", model)
-            submit_mixed(fleet, dataset.test_images, requests=9)
-            fleet.drain()
-            fleet._shadow_by_id["node-1"].retune(0.8)
-            submit_mixed(fleet, dataset.test_images, requests=9, seed=3)
-            fleet.drain()
-            # The barrier audit cross-checks worker ledgers against the
-            # shadows to equality; an unforwarded (or misordered) retune
-            # would change the worker's re-programming charges and trip it.
-            report = fleet.sync()
-            assert report["audited_nodes"] == 4
-            assert fleet.worker_ledgers()[1]["node-1"].total_cycles > 0
+            oracle = ClusterRouter(make_nodes())
+            oracle.register_model("cnn", model)
+            assert_matches_oracle(fleet, oracle, dataset.test_images, requests=9)
+            fleet.node("node-1").retune(0.8)
+            oracle.node("node-1").retune(0.8)
+            assert_matches_oracle(fleet, oracle, dataset.test_images, requests=9, seed=3)
+            assert fleet.node("node-1").ledger().total_cycles == (
+                oracle.node("node-1").ledger().total_cycles
+            )
+            assert fleet.sync()["audited_nodes"] == 4
+            oracle.shutdown()
 
     def test_metrics_snapshot_merges_worker_families(self, trained):
         dataset, model = trained
@@ -510,63 +510,48 @@ class TestFleetConfiguration:
 # ---------------------------------------------------------------------- #
 # Fused forwards: one golden forward per run of dispatches
 # ---------------------------------------------------------------------- #
-def spy_plain_forward(monkeypatch):
-    """Record the image count of every ``_plain_forward`` call."""
+def spy_predict(monkeypatch, model):
+    """Record the image count of every ``predict`` call of the model's class."""
     calls = []
-    plain_forward = ClusterNode._plain_forward
+    predict = type(model).predict
 
-    def spy(node, model_id, images):
+    def spy(self, images):
         calls.append(images.shape[0])
-        return plain_forward(node, model_id, images)
+        return predict(self, images)
 
-    monkeypatch.setattr(ClusterNode, "_plain_forward", spy)
+    # Patched on the class: a worker forwards with its own unpickled copy.
+    monkeypatch.setattr(type(model), "predict", spy)
     return calls
 
 
 @pytest.mark.timeout(120)
 class TestFusedForwards:
-    #: One received batch: ``(node, part sizes)`` per dispatch, with a
-    #: retune of node-1 ending the first run of dispatches.
-    SCRIPT = (
-        ("node-0", (3,)),
-        ("node-1", (4,)),
-        ("node-0", (2, 3)),
-        ("node-1", (5,)),
-        ("node-0", (1,)),
-        "retune",
-        ("node-1", (6,)),
-        ("node-0", (4,)),
-    )
+    #: One received batch: the part sizes of each dispatch, with a
+    #: second model's registration ending the first run of dispatches.
+    SCRIPT = ((3,), (4,), (2, 3), (5,), (1,), "register", (6,), (4,))
 
     def test_worker_forwards_each_run_of_dispatches_in_slices(self, trained, monkeypatch):
         dataset, model = trained
         specs = tuple(node.spec() for node in make_nodes(count=2, max_batch_size=8))
-        twins = {spec.node_id: spec.build(node_cls=ShadowNode) for spec in specs}
-        for twin in twins.values():
-            twin.register_model("cnn", model)
         images = dataset.train_images
         batch, parts_of, offset = [RegisterModel("cnn", model)], [], 0
         for step in self.SCRIPT:
-            if step == "retune":
-                batch.append(Retune("node-1", 0.8))
-                twins["node-1"].retune(0.8)
+            if step == "register":
+                batch.append(RegisterModel("cnn-2", model))
                 continue
-            node_id, sizes = step
             seq, parts = len(parts_of), []
-            for size in sizes:
+            for size in step:
                 parts.append(images[offset : offset + size])
                 offset += size
-            twins[node_id].execute_group("cnn", [(part, None) for part in parts])
             refs = tuple(
                 TensorRef(f"{seq}.{index}", part.shape, "float64", inline=part)
                 for index, part in enumerate(parts)
             )
-            rids = tuple(range(10 * seq, 10 * seq + len(parts)))
-            batch.append(Dispatch(seq, node_id, "cnn", refs, (None,) * len(parts), rids))
+            batch.append(Dispatch(seq, "cnn", refs))
             parts_of.append(parts)
         batch.append(Sync(0))
 
-        forwarded = spy_plain_forward(monkeypatch)
+        forwarded = spy_predict(monkeypatch, model)
         parent, child = multiprocessing.Pipe()
         config = WorkerConfig(rank=0, specs=specs, hard_exit=False)
         worker = threading.Thread(target=worker_main, args=(config, child), daemon=True)
@@ -582,7 +567,7 @@ class TestFusedForwards:
             parent.close()
 
         # Each run of dispatches is one forward, cut into slices of at most
-        # max_batch_size images (18 images, then 10 after the retune).
+        # max_batch_size images (18 images, then 10 after the registration).
         assert forwarded == [8, 8, 2, 8, 2]
         assert sum(forwarded) == offset
         assert [type(reply) for reply in replies] == [Completion] * 7 + [SyncReply]
@@ -592,11 +577,7 @@ class TestFusedForwards:
             for predictions, part in zip(completion.predictions, parts):
                 assert np.array_equal(predictions, model.predict(part))
         sync = replies[-1]
-        for node_id, twin in twins.items():
-            ours, theirs = sync.ledgers[node_id], twin.ledger()
-            assert ours.total_cycles == theirs.total_cycles
-            assert ours.array_accesses == theirs.array_accesses
-            assert ours.total_energy_j == theirs.total_energy_j
+        assert sync.dispatch_groups == 7
         metrics = sync.metrics["metrics"]
         assert [s["value"] for s in metrics["fleet_worker_forwards_total"]["samples"]] == [5.0]
         assert [s["value"] for s in metrics["fleet_worker_dispatch_groups_total"]["samples"]] == [
@@ -630,7 +611,7 @@ class TestFusedForwards:
                 for group in handle.inflight.values()
                 for target in group.pending.targets
             )
-            forwarded = spy_plain_forward(monkeypatch)
+            forwarded = spy_predict(monkeypatch, model)
             fleet._worker_died(handle)
             assert forwarded == [images]
             assert fleet.locally_recovered == 12
@@ -728,6 +709,22 @@ class TestWorkerCrash:
         assert escaped == []
         assert "pipe closed; exiting" in log_path.read_text()
 
+    def test_worker_closes_its_log_file_on_the_way_out(self, tmp_path):
+        parent, child = multiprocessing.Pipe()
+        parent.close()
+        config = WorkerConfig(
+            rank=0,
+            specs=tuple(node.spec() for node in make_nodes(count=1)),
+            log_path=str(tmp_path / "worker.log"),
+            hard_exit=False,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            worker_main(config, child)
+            gc.collect()
+        child.close()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
     def test_crashed_fleet_predictions_match_oracle(self, trained):
         dataset, model = trained
         oracle_nodes = make_nodes(mixed_vdd=False)
@@ -755,6 +752,125 @@ class TestWorkerCrash:
                     result.predictions, by_id[result.request_id].predictions
                 )
         oracle.shutdown()
+
+
+# ---------------------------------------------------------------------- #
+# Delivery audit: a tampered pipe raises instead of going unnoticed
+# ---------------------------------------------------------------------- #
+class TamperedPipe:
+    """The coordinator's end of a worker pipe, rewriting one message.
+
+    The first message of type ``kind`` that is sent (``outgoing``) or
+    received is replaced by the messages ``edit(message)`` returns.
+    """
+
+    def __init__(self, conn, kind, edit, outgoing):
+        self._conn, self._kind, self._edit, self._outgoing = conn, kind, edit, outgoing
+        self._done = False
+
+    def _rewrite(self, batch):
+        rewritten = []
+        for message in batch:
+            if not self._done and isinstance(message, self._kind):
+                self._done = True
+                rewritten.extend(self._edit(message))
+            else:
+                rewritten.append(message)
+        return rewritten
+
+    def send(self, batch):
+        self._conn.send(self._rewrite(batch) if self._outgoing else batch)
+
+    def recv(self):
+        batch = self._conn.recv()
+        return batch if self._outgoing else self._rewrite(batch)
+
+    def poll(self, timeout=0.0):
+        return self._conn.poll(timeout)
+
+    def close(self):
+        self._conn.close()
+
+
+@pytest.mark.timeout(120)
+class TestDeliveryAudit:
+    @staticmethod
+    def _fleet(kind, edit, outgoing=True, **kwargs):
+        fleet = FleetCluster(make_nodes(count=2), workers=1, transport="thread", **kwargs)
+        handle = fleet._handles[0]
+        handle.conn = TamperedPipe(handle.conn, kind, edit, outgoing)
+        return fleet
+
+    def test_a_duplicated_dispatch_is_a_fidelity_error(self, trained):
+        dataset, model = trained
+        with self._fleet(Dispatch, lambda message: [message, message]) as fleet:
+            fleet.register_model("cnn", model)
+            fleet.submit("cnn", dataset.test_images[:3])
+            with pytest.raises(FleetFidelityError, match="not in flight"):
+                fleet.drain()
+                fleet.sync()
+
+    def test_a_completion_for_a_seq_not_in_flight_is_a_fidelity_error(self, trained):
+        dataset, model = trained
+
+        def stray(message):
+            return [message, Completion(message.seq + 100, message.predictions)]
+
+        with self._fleet(Completion, stray, outgoing=False) as fleet:
+            fleet.register_model("cnn", model)
+            fleet.submit("cnn", dataset.test_images[:3])
+            with pytest.raises(FleetFidelityError, match="seq 100, which is not in flight"):
+                fleet.drain()
+                fleet.sync()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda predictions: predictions[:-1],
+            lambda predictions: (predictions[0][:-1],) + predictions[1:],
+        ],
+        ids=["missing_part", "short_part"],
+    )
+    def test_a_completion_missing_predictions_is_a_fidelity_error(self, trained, edit):
+        # Without the check the placeholders would keep their -1 sentinels.
+        dataset, model = trained
+
+        def truncate(message):
+            return [Completion(message.seq, edit(message.predictions))]
+
+        with self._fleet(Completion, truncate, outgoing=False, coalesce=True) as fleet:
+            fleet.register_model("cnn", model)
+            fleet.submit("cnn", dataset.test_images[:3], sla=SLAClass.BEST_EFFORT)
+            fleet.submit("cnn", dataset.test_images[3:5], sla=SLAClass.BEST_EFFORT)
+            with pytest.raises(FleetFidelityError, match="prediction shapes"):
+                fleet.drain()
+                fleet.sync()
+
+    def test_a_dropped_dispatch_fails_the_barrier(self, trained):
+        dataset, model = trained
+        with self._fleet(Dispatch, lambda message: [], barrier_timeout_s=1.0) as fleet:
+            fleet.register_model("cnn", model)
+            fleet.submit("cnn", dataset.test_images[:3])
+            fleet._router.drain()
+            started = time.monotonic()
+            with pytest.raises(FleetError, match="in-flight"):
+                fleet.sync()
+            assert time.monotonic() - started < 10.0
+
+    def test_a_dropped_registration_is_a_fleet_error(self, trained, monkeypatch):
+        dataset, model = trained
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        with self._fleet(RegisterModel, lambda message: []) as fleet:
+            fleet.register_model("cnn", model)
+            request_id = fleet.submit("cnn", dataset.test_images[:3])
+            with pytest.raises(FleetError, match="worker 0 failed"):
+                fleet.drain()
+            fleet._handles[0].runner.join(timeout=10.0)
+            # The group the worker could not forward is recovered locally.
+            predictions = fleet.result(request_id).predictions
+            assert np.array_equal(predictions, model.predict(dataset.test_images[:3]))
+        assert [args.exc_type for args in escaped] == [KeyError]
 
 
 # ---------------------------------------------------------------------- #
